@@ -1,12 +1,19 @@
 // Measures the plan executor's morsel-parallel mode against serial
-// execution of the same physical plan: multi-attribute conjunctions lowered
-// to per-dimension index probes (evaluated concurrently) and to
-// morsel-partitioned sequential scans.
+// execution: multi-attribute conjunctions lowered to per-dimension index
+// probes (evaluated concurrently) and to morsel-partitioned sequential
+// scans.
 //
-// The acceptance property is a >= 2x speedup on 8 worker threads for
-// multi-attribute conjunctions at 1M rows. Both runs execute the identical
-// plan shape (the parallel lowering), so the comparison isolates the worker
-// pool itself — and the answers are bit-identical by construction.
+// Three timings per case:
+//  * fused_serial — the plan users get at parallelism = 1: the planner keeps
+//    the conjunction in one index probe (BitmapIndex::Execute, which runs
+//    the dense term-plan executor on incompressible bitmaps). The baseline.
+//  * split_serial / split_parallel8 — the And-split plan that any other
+//    parallelism degree produces, run on 1 and 8 workers. Comparing the two
+//    isolates the worker pool; comparing either against fused_serial shows
+//    what the split itself costs (every term decompressed on its own).
+// Answers are bit-identical by construction. Two tables: C = 20 under the
+// equality index, and the dense C = 10 serving table under the range index
+// (paper Fig. 5(b): WAH cannot compress either).
 //
 // Usage: bench_plan_executor [--json <path>]
 // With --json, timings are also written as the machine-readable
@@ -32,13 +39,14 @@ uint64_t g_sink = 0;
 constexpr size_t kThreads = 8;
 constexpr int kReps = 5;
 
-Database MustMakeDatabase(uint64_t num_rows, bool indexed) {
+Database MustMakeDatabase(uint64_t num_rows, uint32_t cardinality,
+                          const IndexKind* index) {
   DatasetSpec spec;
   spec.seed = 20060331;
   spec.num_rows = num_rows;
   for (int a = 0; a < 8; ++a) {
     spec.attributes.push_back(
-        {"a" + std::to_string(a), 20, 0.10, 0.0});
+        {"a" + std::to_string(a), cardinality, 0.10, 0.0});
   }
   auto table = GenerateTable(spec);
   if (!table.ok()) {
@@ -50,8 +58,8 @@ Database MustMakeDatabase(uint64_t num_rows, bool indexed) {
     std::fprintf(stderr, "database: %s\n", db.status().ToString().c_str());
     std::exit(1);
   }
-  if (indexed) {
-    const Status status = db->BuildIndex(IndexKind::kBitmapEquality);
+  if (index != nullptr) {
+    const Status status = db->BuildIndex(*index);
     if (!status.ok()) {
       std::fprintf(stderr, "index: %s\n", status.ToString().c_str());
       std::exit(1);
@@ -71,16 +79,16 @@ QueryRequest Conjunction(size_t dims) {
 
 /// Plans the request fresh (a plan instance runs once) and executes it on
 /// `threads` workers; returns the best-of-kReps wall time and accumulates
-/// the count into the sink so the work cannot be optimized away.
+/// the count into the sink so the work cannot be optimized away. `split`
+/// selects the And-split lowering (request.parallelism != 1) over the
+/// fused serial one; `threads` then sets only the worker pool size.
 double MustTimePlan(const Database& db, const QueryRequest& request,
-                    size_t threads) {
+                    bool split, size_t threads) {
   const Snapshot snapshot = db.GetSnapshot();
   double best = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
-    // The parallel lowering (request.parallelism != 1) fixes the plan
-    // shape; `threads` then sets only the worker pool size.
     QueryRequest shaped = request;
-    shaped.Parallel(kThreads);
+    shaped.Parallel(split ? kThreads : 1);
     auto plan = plan::PlanRequest(snapshot, shaped);
     if (!plan.ok()) {
       std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
@@ -108,40 +116,52 @@ int BenchMain(int argc, char** argv) {
   bench::Init(argc, argv);
   const uint64_t rows = bench::BenchRows(1000000);
 
-  bench::PrintHeader(
-      {"case", "rows", "dims", "serial_ms", "parallel8_ms", "speedup"});
+  bench::PrintHeader({"case", "rows", "card", "dims", "fused_serial_ms",
+                      "split_serial_ms", "split_parallel8_ms",
+                      "split_vs_fused", "speedup"});
 
   struct Case {
     const char* name;
-    bool indexed;
+    const Database* db;
+    uint32_t cardinality;
     size_t dims;
   };
+  const IndexKind equality = IndexKind::kBitmapEquality;
+  const IndexKind range = IndexKind::kBitmapRange;
+  const Database indexed = MustMakeDatabase(rows, 20, &equality);
+  const Database dense = MustMakeDatabase(rows, 10, &range);
+  const Database scan_only = MustMakeDatabase(rows, 20, nullptr);
   const Case cases[] = {
-      {"probe_conjunction", true, 4},
-      {"probe_conjunction", true, 8},
-      {"scan_conjunction", false, 4},
-      {"scan_conjunction", false, 8},
+      {"probe_conjunction", &indexed, 20, 4},
+      {"probe_conjunction", &indexed, 20, 8},
+      {"dense_probe_conjunction", &dense, 10, 4},
+      {"dense_probe_conjunction", &dense, 10, 8},
+      {"scan_conjunction", &scan_only, 20, 4},
+      {"scan_conjunction", &scan_only, 20, 8},
   };
 
-  Database indexed = MustMakeDatabase(rows, /*indexed=*/true);
-  Database scan_only = MustMakeDatabase(rows, /*indexed=*/false);
-
   for (const Case& c : cases) {
-    const Database& db = c.indexed ? indexed : scan_only;
     const QueryRequest request = Conjunction(c.dims);
-    const double serial_ms = MustTimePlan(db, request, 1);
-    const double parallel_ms = MustTimePlan(db, request, kThreads);
+    const double fused_ms = MustTimePlan(*c.db, request, false, 1);
+    const double serial_ms = MustTimePlan(*c.db, request, true, 1);
+    const double parallel_ms = MustTimePlan(*c.db, request, true, kThreads);
+    const double split_vs_fused = fused_ms > 0.0 ? serial_ms / fused_ms : 0.0;
     const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
 
-    const std::string config = std::string(c.name) + "&rows=" +
-                               std::to_string(rows) +
-                               "&dims=" + std::to_string(c.dims);
+    const std::string config =
+        std::string(c.name) + "&rows=" + std::to_string(rows) +
+        "&card=" + std::to_string(c.cardinality) +
+        "&dims=" + std::to_string(c.dims);
+    bench::RecordResult("fused_serial", config, fused_ms, 0);
     bench::RecordResult("serial", config, serial_ms, 0);
     bench::RecordResult("parallel8", config, parallel_ms, 0);
 
-    bench::PrintRow({c.name, std::to_string(rows), std::to_string(c.dims),
+    bench::PrintRow({c.name, std::to_string(rows),
+                     std::to_string(c.cardinality), std::to_string(c.dims),
+                     bench::FormatDouble(fused_ms),
                      bench::FormatDouble(serial_ms),
                      bench::FormatDouble(parallel_ms),
+                     bench::FormatDouble(split_vs_fused, 2),
                      bench::FormatDouble(speedup, 2)});
   }
 

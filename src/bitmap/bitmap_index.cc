@@ -99,10 +99,8 @@ AxisRef BitmapIndex::AxisOf(const AttributeBitmaps& ab) const {
   return axis;
 }
 
-Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
-                                                   Interval interval,
-                                                   MissingSemantics semantics,
-                                                   QueryStats* stats) const {
+Status BitmapIndex::CheckInterval(size_t attr, Interval interval,
+                                  MissingSemantics semantics) const {
   if (attr >= attributes_.size()) {
     return Status::OutOfRange("attribute index " + std::to_string(attr) +
                               " out of range");
@@ -128,25 +126,53 @@ Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
         "kAllZeros erases missing rows; it cannot answer missing-is-match "
         "queries (paper §4.2)");
   }
-  return EvaluateSlotInterval(options_.encoding, AxisOf(ab), interval,
-                              options_.missing_strategy, semantics, stats);
+  return Status::OK();
 }
 
-Result<std::vector<WahBitVector>> BitmapIndex::EvaluateTerms(
-    const RangeQuery& query, QueryStats* stats) const {
+Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
+                                                   Interval interval,
+                                                   MissingSemantics semantics,
+                                                   QueryStats* stats) const {
+  INCDB_RETURN_IF_ERROR(CheckInterval(attr, interval, semantics));
+  return EvaluateSlotInterval(options_.encoding, AxisOf(attributes_[attr]),
+                              interval, options_.missing_strategy, semantics,
+                              stats);
+}
+
+Result<BitmapIndex::PreparedQuery> BitmapIndex::Prepare(
+    const RangeQuery& query, bool allow_dense, QueryStats* stats) const {
   if (query.terms.empty()) {
     return Status::InvalidArgument("query must have at least one term");
   }
-  std::vector<WahBitVector> terms;
-  terms.reserve(query.terms.size());
-  for (const QueryTerm& term : query.terms) {
-    INCDB_ASSIGN_OR_RETURN(
-        WahBitVector term_result,
-        EvaluateInterval(term.attribute, term.interval, query.semantics,
-                         stats));
-    terms.push_back(std::move(term_result));
+  PreparedQuery prepared;
+  if (!LowersToTermPlan(options_.encoding)) {
+    prepared.conjuncts.reserve(query.terms.size());
+    for (const QueryTerm& term : query.terms) {
+      INCDB_ASSIGN_OR_RETURN(
+          WahBitVector term_result,
+          EvaluateInterval(term.attribute, term.interval, query.semantics,
+                           stats));
+      prepared.conjuncts.push_back(std::move(term_result));
+    }
+  } else {
+    // Every term lowers into one plan, at most one clause each.
+    WahTermPlan plan(num_rows_);
+    for (const QueryTerm& term : query.terms) {
+      INCDB_RETURN_IF_ERROR(
+          CheckInterval(term.attribute, term.interval, query.semantics));
+      LowerSlotInterval(options_.encoding, AxisOf(attributes_[term.attribute]),
+                        term.interval, options_.missing_strategy,
+                        query.semantics, stats, &plan);
+    }
+    if (allow_dense && plan.PrefersDense()) {
+      prepared.dense = std::move(plan);
+    } else {
+      prepared.conjuncts = ExecuteClausesCompressed(plan, stats);
+    }
   }
-  return terms;
+  // The cross-attribute conjunction.
+  if (stats != nullptr) stats->bitvector_ops += query.terms.size() - 1;
+  return prepared;
 }
 
 namespace {
@@ -185,21 +211,31 @@ uint64_t FusedSlicedValueCount(const WahBitVector& acc,
 
 }  // namespace
 
+WahBitVector BitmapIndex::AndConjuncts(std::vector<WahBitVector> conjuncts,
+                                       QueryStats* stats) const {
+  if (conjuncts.empty()) return WahBitVector::Fill(num_rows_, true);
+  if (conjuncts.size() == 1) return std::move(conjuncts.front());
+  // Cross-attribute conjunction as one fused k-way AND.
+  WahStatsScope op_scope(stats);
+  return WahBitVector::AndMany(Pointers(conjuncts), op_scope.get());
+}
+
 Result<WahBitVector> BitmapIndex::ExecuteCompressed(const RangeQuery& query,
                                                     QueryStats* stats) const {
-  INCDB_ASSIGN_OR_RETURN(std::vector<WahBitVector> terms,
-                         EvaluateTerms(query, stats));
-  if (terms.size() == 1) return std::move(terms.front());
-  // Cross-attribute conjunction as one fused k-way AND.
-  if (stats != nullptr) stats->bitvector_ops += terms.size() - 1;
-  WahStatsScope op_scope(stats);
-  return WahBitVector::AndMany(Pointers(terms), op_scope.get());
+  INCDB_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         Prepare(query, /*allow_dense=*/false, stats));
+  return AndConjuncts(std::move(prepared.conjuncts), stats);
 }
 
 Result<BitVector> BitmapIndex::Execute(const RangeQuery& query,
                                        QueryStats* stats) const {
-  INCDB_ASSIGN_OR_RETURN(WahBitVector acc, ExecuteCompressed(query, stats));
-  return acc.Decompress();
+  INCDB_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         Prepare(query, /*allow_dense=*/true, stats));
+  if (prepared.dense.has_value()) {
+    WahStatsScope op_scope(stats);
+    return prepared.dense->DenseMaterialize(op_scope.get());
+  }
+  return AndConjuncts(std::move(prepared.conjuncts), stats).Decompress();
 }
 
 Result<BitmapIndex::Aggregate> BitmapIndex::ExecuteAggregate(
@@ -298,13 +334,17 @@ Result<BitmapIndex::Aggregate> BitmapIndex::ExecuteAggregate(
 
 Result<uint64_t> BitmapIndex::ExecuteCount(const RangeQuery& query,
                                            QueryStats* stats) const {
-  INCDB_ASSIGN_OR_RETURN(std::vector<WahBitVector> terms,
-                         EvaluateTerms(query, stats));
+  INCDB_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         Prepare(query, /*allow_dense=*/true, stats));
+  WahStatsScope op_scope(stats);
+  if (prepared.dense.has_value()) {
+    return prepared.dense->DenseCount(op_scope.get());
+  }
+  if (prepared.conjuncts.empty()) return num_rows_;
   // Fused count over the term conjunction: the AND result itself is never
   // materialized (for a single term this degenerates to Count()).
-  if (stats != nullptr) stats->bitvector_ops += terms.size() - 1;
-  WahStatsScope op_scope(stats);
-  return WahBitVector::AndManyCount(Pointers(terms), op_scope.get());
+  return WahBitVector::AndManyCount(Pointers(prepared.conjuncts),
+                                    op_scope.get());
 }
 
 Result<std::vector<uint64_t>> BitmapIndex::ExecuteGroupCount(

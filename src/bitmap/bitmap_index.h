@@ -18,8 +18,10 @@ namespace incdb {
 /// query semantics. The direct-slicer composition of the binning x encoding
 /// architecture (bitmap/slicer.h x bitmap/encoder.h): one slot per value,
 /// any of the four encodings. Implements the paper's interval-evaluation
-/// rules exactly: Fig. 2 for equality encoding, Fig. 3 for range encoding;
-/// all logical work happens on the compressed form.
+/// rules exactly: Fig. 2 for equality encoding, Fig. 3 for range encoding.
+/// Sparse queries run on the compressed form; queries over bitmaps WAH
+/// cannot compress run Execute / ExecuteCount through the dense windowed
+/// executor (WahTermPlan::DenseCount) instead.
 class BitmapIndex : public IncompleteIndex {
  public:
   struct Options {
@@ -54,8 +56,9 @@ class BitmapIndex : public IncompleteIndex {
                             QueryStats* stats = nullptr) const override;
   uint64_t SizeInBytes() const override;
 
-  /// COUNT(*) computed on the compressed form (fills counted in O(1) per
-  /// run; no verbatim bitvector is materialized).
+  /// COUNT(*) without materializing the result: the fused AndManyCount
+  /// kernel over the compressed terms, or a popcount of the dense
+  /// executor's windows.
   Result<uint64_t> ExecuteCount(const RangeQuery& query,
                                 QueryStats* stats = nullptr) const override;
 
@@ -157,12 +160,26 @@ class BitmapIndex : public IncompleteIndex {
   // slicer has exactly one axis: slot j-1 = value j).
   AxisRef AxisOf(const AttributeBitmaps& ab) const;
 
-  // Shared query path: evaluates every search-key term to a compressed
-  // bitvector. ExecuteCompressed fuses them with a k-way AndMany (Execute
-  // decompresses that); ExecuteCount feeds them to the fused AndManyCount
-  // kernel and never materializes the conjunction at all.
-  Result<std::vector<WahBitVector>> EvaluateTerms(const RangeQuery& query,
-                                                  QueryStats* stats) const;
+  // EvaluateInterval's argument checks, shared with the lowering path.
+  Status CheckInterval(size_t attr, Interval interval,
+                       MissingSemantics semantics) const;
+
+  // Shared query path. The terms of an equality / range / interval index
+  // lower into one WahTermPlan; when `allow_dense` and the plan's operands
+  // are dense (WahTermPlan::PrefersDense) the whole plan is handed back for
+  // the dense executor, otherwise each clause — or, for the bit-sliced
+  // circuit, each term — is evaluated to a compressed conjunct. Charges
+  // the logical counters either way.
+  struct PreparedQuery {
+    std::optional<WahTermPlan> dense;
+    std::vector<WahBitVector> conjuncts;  // empty = all rows
+  };
+  Result<PreparedQuery> Prepare(const RangeQuery& query, bool allow_dense,
+                                QueryStats* stats) const;
+  // The fused k-way AND of compressed conjuncts (all ones when empty).
+  WahBitVector AndConjuncts(std::vector<WahBitVector> conjuncts,
+                            QueryStats* stats) const;
+  // The compressed result vector of `query` (GROUP BY and aggregates).
   Result<WahBitVector> ExecuteCompressed(const RangeQuery& query,
                                          QueryStats* stats) const;
 

@@ -117,227 +117,115 @@ uint64_t AxisEncoder::NumBitmaps(BitmapEncoding encoding, uint32_t num_slots) {
 
 namespace {
 
-// A bitvector either borrowed from index storage or synthesized on the
-// fly. Lets RangeLE hand out stored bitmaps without copying their
-// compressed payload (the old hot-path cost of every BRE query).
-struct BitmapRef {
-  std::optional<WahBitVector> owned;
-  const WahBitVector* borrowed = nullptr;
+using Operand = WahBitVector::Operand;
 
-  const WahBitVector& get() const {
-    return owned.has_value() ? *owned : *borrowed;
-  }
-};
-
-// Range encoding: bitvector for "value <= j" (j in [0, C]); j = 0 is the
-// missing bitmap (zero fill when the attribute is complete), j = C the
-// dropped all-ones bitmap.
-BitmapRef RangeLE(const AxisRef& axis, Value j, QueryStats* stats) {
-  auto borrow = [&](const WahBitVector& vec) -> BitmapRef {
-    if (stats != nullptr) {
-      ++stats->bitvectors_accessed;
-      stats->words_touched += vec.NumWords();
+// Charges the logical counters for the clauses a lowering appended,
+// reading them off the plan's shape: every factor is one bitvector access
+// over its code words; a product of k factors costs k-1 ANDs plus a NOT
+// when none of them is plain (NOT of the OR of the complemented operands,
+// which is how the compressed executor issues it — an empty product is the
+// NOT of an empty OR); a clause of p products costs p-1 ORs.
+void ChargeLoweredClauses(const WahTermPlan& plan, size_t first_clause,
+                          QueryStats* stats) {
+  if (stats == nullptr) return;
+  for (size_t c = first_clause; c < plan.clauses.size(); ++c) {
+    const WahTermPlan::Span& clause = plan.clauses[c];
+    if (clause.size() > 1) stats->bitvector_ops += clause.size() - 1;
+    for (size_t p = clause.begin; p < clause.end; ++p) {
+      const WahTermPlan::Span& product = plan.products[p];
+      bool any_plain = false;
+      for (size_t f = product.begin; f < product.end; ++f) {
+        const Operand& op = plan.factors[f];
+        any_plain = any_plain || !op.negate;
+        ++stats->bitvectors_accessed;
+        stats->words_touched += op.vec->NumWords();
+      }
+      if (product.size() > 1) stats->bitvector_ops += product.size() - 1;
+      if (!any_plain) ++stats->bitvector_ops;
     }
-    return BitmapRef{std::nullopt, &vec};
-  };
-  if (j <= 0) {
-    // "value <= 0" = the missing rows (missing is encoded as value 0).
-    if (axis.missing != nullptr) return borrow(*axis.missing);
-    return BitmapRef{WahBitVector::Fill(axis.num_rows, false), nullptr};
   }
-  if (static_cast<uint32_t>(j) >= axis.num_slots) {
-    // The dropped all-ones B_C.
-    return BitmapRef{WahBitVector::Fill(axis.num_rows, true), nullptr};
-  }
-  return borrow(axis.bitmaps[static_cast<size_t>(j) - 1]);
 }
 
-WahBitVector EvaluateEquality(const AxisRef& axis, Interval interval,
-                              MissingStrategy strategy,
-                              MissingSemantics semantics, QueryStats* stats) {
-  const uint32_t cardinality = axis.num_slots;
-  const Value lo = interval.lo;
-  const Value hi = interval.hi;
-  auto access = [&](const WahBitVector& bitmap) -> const WahBitVector* {
-    if (stats != nullptr) {
-      ++stats->bitvectors_accessed;
-      stats->words_touched += bitmap.NumWords();
-    }
-    return &bitmap;
-  };
-  // Collects B_{i,from} .. B_{i,to} as operands for one fused OrMany.
-  auto collect = [&](std::vector<const WahBitVector*>& ops, Value from,
-                     Value to) {
-    for (Value j = from; j <= to; ++j) {
-      ops.push_back(access(axis.bitmaps[static_cast<size_t>(j) - 1]));
-    }
-  };
-  // Single-pass k-way union; zero fill when there is nothing to unite.
-  auto fused_or = [&](const std::vector<const WahBitVector*>& ops)
-      -> WahBitVector {
-    if (ops.empty()) return WahBitVector::Fill(axis.num_rows, false);
-    if (stats != nullptr) stats->bitvector_ops += ops.size() - 1;
-    WahStatsScope op_scope(stats);
-    return WahBitVector::OrMany(ops, op_scope.get());
-  };
-
-  // Paper Fig. 2: use the direct OR when the interval covers at most half
-  // the domain, otherwise complement the OR of the outside bitmaps. We pick
-  // the side with fewer bitmaps, which realizes the paper's worst-case
-  // bound of min(AS, 1-AS) * C + 1 bitvector accesses. Either side is one
-  // fused OrMany pass instead of a pairwise fold.
-  const Value width = hi - lo + 1;
-  const bool narrow = width <= static_cast<Value>(cardinality) - width;
-  std::vector<const WahBitVector*> ops;
-  ops.reserve(static_cast<size_t>(
-      (narrow ? width : static_cast<Value>(cardinality) - width) + 1));
-
-  if (strategy == MissingStrategy::kAllZeros) {
-    // Rejected alternative: missing rows appear in no bitmap, so the
-    // complement path would resurrect them; every interval must be answered
-    // by the direct OR (the performance drawback the ablation shows).
-    collect(ops, lo, hi);
-    return fused_or(ops);
-  }
-
-  if (strategy == MissingStrategy::kAllOnes) {
-    // Rejected alternative (match semantics only): missing rows are 1 in
-    // every bitmap, so the direct OR already includes them; the complement
-    // path must recover them by ANDing two value bitmaps (only missing rows
-    // are set in more than one).
-    if (narrow) {
-      collect(ops, lo, hi);
-      return fused_or(ops);
-    }
-    collect(ops, 1, lo - 1);
-    collect(ops, hi + 1, static_cast<Value>(cardinality));
-    WahBitVector result = fused_or(ops).Not();
-    if (stats != nullptr) ++stats->bitvector_ops;
-    if (cardinality >= 2) {
-      WahBitVector missing_rows =
-          access(axis.bitmaps[0])->And(*access(axis.bitmaps[1]));
-      result = result.Or(missing_rows);
-      if (stats != nullptr) stats->bitvector_ops += 2;
-    }
-    return result;
-  }
-
-  // kExtraBitmap — the paper's design (Fig. 2).
-  if (narrow) {
-    // One fused pass over the inside bitmaps plus B_{i,0} when missing rows
-    // count as matches.
-    collect(ops, lo, hi);
-    if (semantics == MissingSemantics::kMatch && axis.missing != nullptr) {
-      ops.push_back(access(*axis.missing));
-    }
-    return fused_or(ops);
-  }
-  collect(ops, 1, lo - 1);
-  collect(ops, hi + 1, static_cast<Value>(cardinality));
-  if (semantics == MissingSemantics::kNoMatch && axis.missing != nullptr) {
-    // NOT(outside OR B_0): the complement alone would admit missing rows.
-    ops.push_back(access(*axis.missing));
-  }
-  WahBitVector result = fused_or(ops).Not();
-  if (stats != nullptr) ++stats->bitvector_ops;
-  return result;
-}
-
-WahBitVector EvaluateRange(const AxisRef& axis, Interval interval,
-                           MissingSemantics semantics, QueryStats* stats) {
+void LowerEquality(const AxisRef& axis, Interval interval,
+                   MissingStrategy strategy, MissingSemantics semantics,
+                   WahTermPlan* plan) {
   const Value cardinality = static_cast<Value>(axis.num_slots);
   const Value lo = interval.lo;
   const Value hi = interval.hi;
-  auto count_op = [&](int n = 1) {
-    if (stats != nullptr) stats->bitvector_ops += static_cast<uint64_t>(n);
+  auto bitmap = [&](Value j) -> const WahBitVector* {
+    return &axis.bitmaps[static_cast<size_t>(j) - 1];
   };
-  auto access_missing = [&]() -> const WahBitVector& {
-    if (stats != nullptr) {
-      ++stats->bitvectors_accessed;
-      stats->words_touched += axis.missing->NumWords();
+  // Paper Fig. 2: OR the bitmaps inside the interval when it covers at
+  // most half the domain, otherwise complement the OR of the outside ones —
+  // the side with fewer bitmaps, which realizes the paper's worst-case
+  // bound of min(AS, 1-AS) * C + 1 bitvector accesses. The complement is
+  // lowered as one product of complemented operands (NOT of an OR).
+  //
+  // kAllZeros (a §4.2 rejected alternative) erases missing rows from every
+  // bitmap, so the complement would resurrect them: it always takes the
+  // direct OR, the performance drawback the ablation shows.
+  const Value width = hi - lo + 1;
+  const bool narrow = width <= cardinality - width ||
+                      strategy == MissingStrategy::kAllZeros;
+  const bool extra = strategy == MissingStrategy::kExtraBitmap &&
+                     axis.missing != nullptr;
+  plan->AddClause();
+  if (narrow) {
+    for (Value j = lo; j <= hi; ++j) plan->AddProduct({{bitmap(j), false}});
+    // B_{i,0} joins the union when missing rows count as matches.
+    if (extra && semantics == MissingSemantics::kMatch) {
+      plan->AddProduct({{axis.missing, false}});
     }
-    return *axis.missing;
-  };
-  auto or_missing = [&](WahBitVector r) -> WahBitVector {
-    if (axis.missing != nullptr) {
-      count_op();
-      return r.Or(access_missing());
-    }
-    return r;
-  };
-  auto xor_missing = [&](WahBitVector r) -> WahBitVector {
-    if (axis.missing != nullptr) {
-      count_op();
-      return r.Xor(access_missing());
-    }
-    return r;
-  };
-
-  if (semantics == MissingSemantics::kMatch) {
-    // Paper Fig. 3(a).
-    if (cardinality == 1) return WahBitVector::Fill(axis.num_rows, true);
-    if (lo == hi) {
-      if (lo == 1) return RangeLE(axis, 1, stats).get();
-      if (lo == cardinality) {
-        count_op();
-        return or_missing(RangeLE(axis, lo - 1, stats).get().Not());
-      }
-      count_op();
-      return or_missing(RangeLE(axis, lo, stats)
-                            .get()
-                            .Xor(RangeLE(axis, lo - 1, stats).get()));
-    }
-    if (lo == 1 && hi == cardinality) {
-      return WahBitVector::Fill(axis.num_rows, true);
-    }
-    if (lo == 1) return RangeLE(axis, hi, stats).get();
-    if (hi == cardinality) {
-      count_op();
-      return or_missing(RangeLE(axis, lo - 1, stats).get().Not());
-    }
-    count_op();
-    return or_missing(
-        RangeLE(axis, hi, stats).get().Xor(RangeLE(axis, lo - 1, stats).get()));
+    return;
   }
-
-  // Paper Fig. 3(b) — missing is not a match.
-  if (cardinality == 1) {
-    if (axis.missing != nullptr) {
-      count_op();
-      return access_missing().Not();
-    }
-    return WahBitVector::Fill(axis.num_rows, true);
+  plan->AddProduct();
+  for (Value j = 1; j <= cardinality; ++j) {
+    if (j < lo || j > hi) plan->AddFactor({bitmap(j), true});
   }
-  if (lo == hi) {
-    if (lo == 1) return xor_missing(RangeLE(axis, 1, stats).get());
-    if (lo == cardinality) {
-      count_op();
-      return RangeLE(axis, lo - 1, stats).get().Not();
-    }
-    count_op();
-    return RangeLE(axis, lo, stats)
-        .get()
-        .Xor(RangeLE(axis, lo - 1, stats).get());
+  // NOT(outside OR B_0): the complement alone would admit missing rows.
+  if (extra && semantics == MissingSemantics::kNoMatch) {
+    plan->AddFactor({axis.missing, true});
   }
-  if (lo == 1 && hi == cardinality) {
-    if (axis.missing != nullptr) {
-      count_op();
-      return access_missing().Not();
-    }
-    return WahBitVector::Fill(axis.num_rows, true);
+  // kAllOnes (rejected alternative, match semantics only) sets missing
+  // rows in every bitmap, so the complement drops them; they are the only
+  // rows set in two value bitmaps, which recovers them.
+  if (strategy == MissingStrategy::kAllOnes && cardinality >= 2) {
+    plan->AddProduct({{bitmap(1), false}, {bitmap(2), false}});
   }
-  if (lo == 1) return xor_missing(RangeLE(axis, hi, stats).get());
-  if (hi == cardinality) {
-    count_op();
-    return RangeLE(axis, lo - 1, stats).get().Not();
-  }
-  count_op();
-  return RangeLE(axis, hi, stats).get().Xor(RangeLE(axis, lo - 1, stats).get());
 }
 
-WahBitVector EvaluateIntervalEncoded(const AxisRef& axis, Interval interval,
-                                     MissingSemantics semantics,
-                                     QueryStats* stats) {
+void LowerRange(const AxisRef& axis, Interval interval,
+                MissingSemantics semantics, WahTermPlan* plan) {
+  // Paper Fig. 3 as one rule: [lo, hi] = LE(hi) AND NOT LE(lo-1), where the
+  // stored B_j = LE(j) ("value <= j") for j in [1, C-1]. Missing counts as
+  // value 0, so LE(0) is B_0 (no rows when the attribute is complete) and
+  // every stored LE(j) holds the missing rows; LE(C) is the dropped
+  // all-ones B_C. Constant operands drop out of the product, and an empty
+  // product (every row matches) adds no clause. Under match semantics the
+  // subtraction of LE(lo-1) strips missing rows, so they are ORed back in;
+  // at lo == 1 nothing is subtracted and LE(hi) already holds them. The
+  // nesting LE(lo-1) ⊆ LE(hi) makes this AND-NOT the XOR of Fig. 3.
+  const Value cardinality = static_cast<Value>(axis.num_slots);
+  const Value lo = interval.lo;
+  const Value hi = interval.hi;
+  const bool match = semantics == MissingSemantics::kMatch;
+  auto le = [&](Value j) -> const WahBitVector* {
+    return j == 0 ? axis.missing : &axis.bitmaps[static_cast<size_t>(j) - 1];
+  };
+  const bool keep_hi = hi < cardinality;
+  const bool subtract = lo > 1 || (!match && axis.missing != nullptr);
+  if (!keep_hi && !subtract) return;
+  plan->AddClause();
+  plan->AddProduct();
+  if (keep_hi) plan->AddFactor({le(hi), false});
+  if (subtract) plan->AddFactor({le(lo - 1), true});
+  if (match && lo > 1 && axis.missing != nullptr) {
+    plan->AddProduct({{axis.missing, false}});
+  }
+}
+
+void LowerIntervalEncoded(const AxisRef& axis, Interval interval,
+                          MissingSemantics semantics, WahTermPlan* plan) {
   // Two-bitmap evaluation rules for the interval encoding, derived from
   // I_j = [j, j+m-1], m = ceil(C/2), n = C-m+1 stored bitmaps. For a query
   // [l, h] of width w = h-l+1:
@@ -357,65 +245,123 @@ WahBitVector EvaluateIntervalEncoded(const AxisRef& axis, Interval interval,
   const Value lo = interval.lo;
   const Value hi = interval.hi;
   const Value width = hi - lo + 1;
-  auto bitmap = [&](Value j) -> const WahBitVector& {
+  auto bitmap = [&](Value j) -> const WahBitVector* {
     INCDB_DCHECK(j >= 1 && j <= n);
-    const WahBitVector& vec = axis.bitmaps[static_cast<size_t>(j) - 1];
-    if (stats != nullptr) {
-      ++stats->bitvectors_accessed;
-      stats->words_touched += vec.NumWords();
-    }
-    return vec;
+    return &axis.bitmaps[static_cast<size_t>(j) - 1];
   };
-  auto missing_bitmap = [&]() -> const WahBitVector& {
-    if (stats != nullptr) {
-      ++stats->bitvectors_accessed;
-      stats->words_touched += axis.missing->NumWords();
-    }
-    return *axis.missing;
-  };
-  auto count_op = [&]() {
-    if (stats != nullptr) ++stats->bitvector_ops;
-  };
-  const bool or_in_missing =
-      semantics == MissingSemantics::kMatch && axis.missing != nullptr;
 
   if (width == cardinality) {
-    if (semantics == MissingSemantics::kMatch || axis.missing == nullptr) {
-      return WahBitVector::Fill(axis.num_rows, true);
+    if (semantics == MissingSemantics::kNoMatch && axis.missing != nullptr) {
+      plan->AddClause();
+      plan->AddProduct({{axis.missing, true}});
     }
-    count_op();
-    return missing_bitmap().Not();
+    return;
   }
-
-  // The union-shaped cases fuse every operand (including B_{i,0} under
-  // match semantics) into one OrMany pass.
+  plan->AddClause();
   if (width >= m) {
-    std::vector<const WahBitVector*> ops;
-    ops.push_back(&bitmap(lo));
-    if (width > m) ops.push_back(&bitmap(hi - m + 1));
-    if (or_in_missing) ops.push_back(&missing_bitmap());
-    if (stats != nullptr) stats->bitvector_ops += ops.size() - 1;
-    WahStatsScope op_scope(stats);
-    return WahBitVector::OrMany(ops, op_scope.get());
-  }
-
-  WahBitVector result;
-  if (hi < m) {
-    result = bitmap(lo).AndNot(bitmap(hi + 1));
-    count_op();
+    plan->AddProduct({{bitmap(lo), false}});
+    if (width > m) plan->AddProduct({{bitmap(hi - m + 1), false}});
+  } else if (hi < m) {
+    plan->AddProduct({{bitmap(lo), false}, {bitmap(hi + 1), true}});
   } else if (lo > n) {
-    result = bitmap(hi - m + 1).AndNot(bitmap(lo - m));
-    count_op();
+    plan->AddProduct({{bitmap(hi - m + 1), false}, {bitmap(lo - m), true}});
   } else {
-    result = bitmap(lo).And(bitmap(hi - m + 1));
-    count_op();
+    plan->AddProduct({{bitmap(lo), false}, {bitmap(hi - m + 1), false}});
   }
-  if (or_in_missing) {
-    result = result.Or(missing_bitmap());
-    count_op();
+  if (semantics == MissingSemantics::kMatch && axis.missing != nullptr) {
+    plan->AddProduct({{axis.missing, false}});
   }
-  return result;
 }
+
+// One product issued with today's compressed kernel for its shape. A lone
+// plain factor is returned as a pointer into index storage (no copy);
+// anything computed lands in `scratch`.
+const WahBitVector* ExecuteProduct(const WahTermPlan& plan,
+                                   const WahTermPlan::Span& product,
+                                   WahOpStats* op_stats,
+                                   std::vector<WahBitVector>* scratch) {
+  const std::span<const Operand> ops(plan.factors.data() + product.begin,
+                                     product.size());
+  const bool all_negated = std::none_of(
+      ops.begin(), ops.end(), [](const Operand& op) { return !op.negate; });
+  if (ops.size() == 1 && !ops[0].negate) return ops[0].vec;
+  if (ops.empty()) {
+    scratch->push_back(WahBitVector::Fill(plan.num_bits, true));
+  } else if (ops.size() == 1) {
+    scratch->push_back(ops[0].vec->Not());
+  } else if (all_negated) {
+    std::vector<const WahBitVector*> vecs;
+    vecs.reserve(ops.size());
+    for (const Operand& op : ops) vecs.push_back(op.vec);
+    scratch->push_back(WahBitVector::OrMany(vecs, op_stats).Not());
+  } else if (ops.size() == 2 && ops[0].negate != ops[1].negate) {
+    const Operand& plain = ops[0].negate ? ops[1] : ops[0];
+    const Operand& negated = ops[0].negate ? ops[0] : ops[1];
+    scratch->push_back(plain.vec->AndNot(*negated.vec));
+  } else if (ops.size() == 2) {
+    scratch->push_back(ops[0].vec->And(*ops[1].vec));
+  } else {
+    scratch->push_back(WahBitVector::AndMany(ops, op_stats));
+  }
+  return &scratch->back();
+}
+
+}  // namespace
+
+bool LowersToTermPlan(BitmapEncoding encoding) {
+  return encoding != BitmapEncoding::kBitSliced;
+}
+
+void LowerSlotInterval(BitmapEncoding encoding, const AxisRef& axis,
+                       Interval interval, MissingStrategy strategy,
+                       MissingSemantics semantics, QueryStats* stats,
+                       WahTermPlan* plan) {
+  INCDB_CHECK(LowersToTermPlan(encoding));
+  const size_t first_clause = plan->clauses.size();
+  switch (encoding) {
+    case BitmapEncoding::kEquality:
+      LowerEquality(axis, interval, strategy, semantics, plan);
+      break;
+    case BitmapEncoding::kRange:
+      LowerRange(axis, interval, semantics, plan);
+      break;
+    case BitmapEncoding::kInterval:
+      LowerIntervalEncoded(axis, interval, semantics, plan);
+      break;
+    case BitmapEncoding::kBitSliced:
+      break;
+  }
+  ChargeLoweredClauses(*plan, first_clause, stats);
+}
+
+std::vector<WahBitVector> ExecuteClausesCompressed(const WahTermPlan& plan,
+                                                   QueryStats* stats) {
+  WahStatsScope op_scope(stats);
+  std::vector<WahBitVector> results;
+  results.reserve(plan.clauses.size());
+  std::vector<WahBitVector> scratch;
+  std::vector<const WahBitVector*> terms;
+  for (const WahTermPlan::Span& clause : plan.clauses) {
+    // Room for every product up front: `terms` points into `scratch`.
+    scratch.clear();
+    scratch.reserve(clause.size());
+    terms.clear();
+    for (size_t p = clause.begin; p < clause.end; ++p) {
+      terms.push_back(
+          ExecuteProduct(plan, plan.products[p], op_scope.get(), &scratch));
+    }
+    if (terms.empty()) {
+      results.push_back(WahBitVector::Fill(plan.num_bits, false));
+    } else if (terms.size() == 1) {
+      results.push_back(scratch.empty() ? *terms[0] : std::move(scratch[0]));
+    } else {
+      results.push_back(WahBitVector::OrMany(terms, op_scope.get()));
+    }
+  }
+  return results;
+}
+
+namespace {
 
 WahBitVector EvaluateBitSliced(const AxisRef& axis, Interval interval,
                                MissingSemantics semantics, QueryStats* stats) {
@@ -516,17 +462,16 @@ WahBitVector EvaluateSlotInterval(BitmapEncoding encoding, const AxisRef& axis,
                                   Interval interval, MissingStrategy strategy,
                                   MissingSemantics semantics,
                                   QueryStats* stats) {
-  switch (encoding) {
-    case BitmapEncoding::kEquality:
-      return EvaluateEquality(axis, interval, strategy, semantics, stats);
-    case BitmapEncoding::kRange:
-      return EvaluateRange(axis, interval, semantics, stats);
-    case BitmapEncoding::kInterval:
-      return EvaluateIntervalEncoded(axis, interval, semantics, stats);
-    case BitmapEncoding::kBitSliced:
-      return EvaluateBitSliced(axis, interval, semantics, stats);
+  if (!LowersToTermPlan(encoding)) {
+    return EvaluateBitSliced(axis, interval, semantics, stats);
   }
-  return WahBitVector::Fill(axis.num_rows, false);
+  WahTermPlan plan(axis.num_rows);
+  LowerSlotInterval(encoding, axis, interval, strategy, semantics, stats,
+                    &plan);
+  std::vector<WahBitVector> clauses = ExecuteClausesCompressed(plan, stats);
+  if (clauses.empty()) return WahBitVector::Fill(axis.num_rows, true);
+  INCDB_DCHECK(clauses.size() == 1);
+  return std::move(clauses.front());
 }
 
 }  // namespace incdb

@@ -18,8 +18,10 @@ namespace incdb {
 /// from the paper's related work [5]) — the *encoding* axis of the bitmap
 /// layer's binning x encoding architecture (docs/ENCODINGS.md). An encoder
 /// turns one slicer axis's slot stream into WAH bitvectors (AxisEncoder)
-/// and lowers a slot interval over those bitvectors to compressed logical
-/// operations (EvaluateSlotInterval). The engine is written once against
+/// and lowers a slot interval over those bitvectors to a term plan
+/// (LowerSlotInterval) that either executor runs: the compressed kernels
+/// (EvaluateSlotInterval) or the dense windowed pass
+/// (WahTermPlan::DenseCount). The engine is written once against
 /// the slicer's slot domain; every index kind — the paper's four direct
 /// ones and the multi-component / hierarchical composites — rides it.
 enum class BitmapEncoding {
@@ -160,13 +162,38 @@ struct AxisRef {
   uint64_t num_rows = 0;
 };
 
-/// The evaluation half of the encoding engine: lowers the slot interval
-/// `interval` (1-based, lo/hi in [1, num_slots], validated by the caller)
-/// over one encoded axis to fused WAH operations — paper Fig. 2 for
-/// equality, Fig. 3 for range, the two-bitmap interval rules, and the
-/// O'Neil-Quass bit-sliced circuit. `strategy` and `semantics` control the
-/// missing-bitvector composition exactly as before the refactor; the
-/// caller enforces the strategy/semantics compatibility rules (§4.2).
+/// True for the encodings whose interval rules lower to a WahTermPlan:
+/// equality, range and interval. The bit-sliced circuit is evaluated
+/// directly (EvaluateSlotInterval).
+bool LowersToTermPlan(BitmapEncoding encoding);
+
+/// The lowering half of the encoding engine: appends the term plan for the
+/// slot interval `interval` (1-based, lo/hi in [1, num_slots], validated by
+/// the caller) over one encoded axis to `plan` — paper Fig. 2 for equality
+/// (all three missing strategies), Fig. 3 for range, and the two-bitmap
+/// interval rules. Each interval becomes at most one clause; an interval
+/// that matches every row adds none. `strategy` and `semantics` control the
+/// missing-bitvector composition; the caller enforces the strategy /
+/// semantics compatibility rules (§4.2). The logical counters
+/// (bitvectors_accessed, bitvector_ops, words_touched) are charged here,
+/// from the plan's shape, so both executors report the same values.
+/// Requires LowersToTermPlan(encoding).
+void LowerSlotInterval(BitmapEncoding encoding, const AxisRef& axis,
+                       Interval interval, MissingStrategy strategy,
+                       MissingSemantics semantics, QueryStats* stats,
+                       WahTermPlan* plan);
+
+/// The compressed executor: evaluates each clause of `plan` to a WAH
+/// vector with the fused kernels, one kernel per plan shape (a stored
+/// bitmap is borrowed, AND-NOT / AND for two-factor products, OrMany(..)
+/// .Not() for all-complemented ones, OrMany across a clause's products).
+/// `stats` only receives the kernels' dense-window counters.
+std::vector<WahBitVector> ExecuteClausesCompressed(const WahTermPlan& plan,
+                                                   QueryStats* stats);
+
+/// Evaluates one slot interval to a compressed bitvector: lowering plus the
+/// compressed executor, or the O'Neil-Quass circuit for the bit-sliced
+/// encoding. Arguments as for LowerSlotInterval.
 WahBitVector EvaluateSlotInterval(BitmapEncoding encoding, const AxisRef& axis,
                                   Interval interval, MissingStrategy strategy,
                                   MissingSemantics semantics,

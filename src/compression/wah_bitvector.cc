@@ -428,6 +428,236 @@ void FuseHybrid(std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
   for (const auto& it : its) INCDB_CHECK(it.done());
 }
 
+// ---------------------------------------------------------------------------
+// Verbatim output: group words are shift-or'ed into zeroed 64-bit words.
+// ---------------------------------------------------------------------------
+
+// ORs the low `width` bits of `group` into `out` at bit `pos` — one or two
+// 64-bit words.
+template <typename WordT>
+void PackBits(uint64_t* out, uint64_t pos, WordT group, int width) {
+  if (width == 0) return;
+  const uint64_t bits = static_cast<uint64_t>(group);
+  const int offset = static_cast<int>(pos & 63);
+  out[pos >> 6] |= bits << offset;
+  if (offset + width > 64) out[(pos >> 6) + 1] |= bits >> (64 - offset);
+}
+
+// Sets bits [begin, end) of `out`, a word at a time.
+void SetBitRange(uint64_t* out, uint64_t begin, uint64_t end) {
+  if (begin >= end) return;
+  const uint64_t first = begin >> 6;
+  const uint64_t last = (end - 1) >> 6;
+  const uint64_t head = ~uint64_t{0} << (begin & 63);
+  const uint64_t tail = ~uint64_t{0} >> (63 - ((end - 1) & 63));
+  if (first == last) {
+    out[first] |= head & tail;
+    return;
+  }
+  out[first] |= head;
+  std::fill(out + first + 1, out + last, ~uint64_t{0});
+  out[last] |= tail;
+}
+
+BitVector VerbatimFromWords(uint64_t size, std::vector<uint64_t> words) {
+  Result<BitVector> bits = BitVector::FromWords(size, std::move(words));
+  INCDB_CHECK(bits.ok());
+  return std::move(bits).value();
+}
+
+// ---------------------------------------------------------------------------
+// The dense term-plan executor (BasicWahTermPlan::DenseCount/Materialize).
+//
+// Where FuseHybrid fuses one k-way AND or OR and re-compresses its result,
+// this pass evaluates a whole lowered query — an AND of clauses, each an OR
+// of products, each an AND of optionally complemented operands — window by
+// window, in the same kWindowGroups-group windows and with the same
+// DecodeWindow/CombineWindow primitives as FuseHybrid's dense path. Three
+// window buffers (accumulator, clause, product: 3 x 8 KiB for 32-bit words)
+// stay in L1. An operand several factors reference is decoded once per
+// window into its own buffer; every other operand streams straight from its
+// code words into the kernels. The result window goes to a sink (popcount
+// or verbatim repack) and is never re-encoded.
+// ---------------------------------------------------------------------------
+
+template <typename WordT>
+class DensePlanPass {
+  using Operand = typename BasicWahBitVector<WordT>::Operand;
+  using Span = typename BasicWahTermPlan<WordT>::Span;
+  static constexpr WordT kFull = Traits<WordT>::kFullLiteral;
+  static constexpr uint64_t kGroupBits = Traits<WordT>::kGroupBits;
+
+ public:
+  explicit DensePlanPass(const BasicWahTermPlan<WordT>& plan)
+      : plan_(plan),
+        kernels_(simd::ActiveKernels()),
+        groups_(plan.num_bits / kGroupBits),
+        window_(std::min(kWindowGroups<WordT>, groups_)) {
+    source_of_.reserve(plan.factors.size());
+    std::vector<size_t> uses;
+    for (const Operand& op : plan.factors) {
+      INCDB_CHECK(op.vec != nullptr && op.vec->size() == plan.num_bits);
+      size_t s = 0;
+      while (s < vecs_.size() && vecs_[s] != op.vec) ++s;
+      if (s == vecs_.size()) {
+        vecs_.push_back(op.vec);
+        uses.push_back(0);
+      }
+      ++uses[s];
+      source_of_.push_back(s);
+    }
+    its_.reserve(vecs_.size());
+    shared_.resize(vecs_.size());
+    for (size_t s = 0; s < vecs_.size(); ++s) {
+      its_.emplace_back(*vecs_[s]);
+      if (uses[s] > 1) shared_[s].resize(window_);
+    }
+    acc_.resize(window_);
+    clause_.resize(window_);
+    product_.resize(window_);
+  }
+
+  // Calls emit(window_words, w) for each result window, in row order.
+  template <typename Emit>
+  void Run(Emit&& emit, WahOpStats* op_stats) {
+    for (uint64_t done = 0; done < groups_;) {
+      const uint64_t w = std::min(window_, groups_ - done);
+      for (size_t s = 0; s < vecs_.size(); ++s) {
+        if (!shared_[s].empty()) DecodeWindow(its_[s], shared_[s].data(), w);
+      }
+      EvalWindow(w);
+      emit(acc_.data(), w);
+      if (op_stats != nullptr) {
+        op_stats->dense_windows += 1;
+        op_stats->words_decoded += w * vecs_.size();
+      }
+      done += w;
+    }
+    for (const auto& it : its_) INCDB_CHECK(it.done());
+  }
+
+  // The plan evaluated over the operands' partial trailing groups.
+  WordT ActiveResult() const {
+    const int active_bits =
+        static_cast<int>(plan_.num_bits - groups_ * kGroupBits);
+    const WordT mask = static_cast<WordT>(bitutil::LowBitsMask(active_bits));
+    WordT acc = mask;
+    for (const Span& clause : plan_.clauses) {
+      WordT any = 0;
+      for (size_t p = clause.begin; p < clause.end; ++p) {
+        WordT all = mask;
+        for (size_t f = plan_.products[p].begin; f < plan_.products[p].end;
+             ++f) {
+          const Operand& op = plan_.factors[f];
+          all &= ActiveView<WordT>(op, op.vec->active_word(), mask);
+        }
+        any |= all;
+      }
+      acc &= any;
+    }
+    return acc;
+  }
+
+ private:
+  // acc = AND of every clause.
+  void EvalWindow(uint64_t w) {
+    WordT* acc = acc_.data();
+    if (plan_.clauses.empty()) {
+      std::fill_n(acc, w, kFull);
+      return;
+    }
+    EvalClause(plan_.clauses[0], acc, w);
+    for (size_t c = 1; c < plan_.clauses.size(); ++c) {
+      const Span& clause = plan_.clauses[c];
+      if (clause.size() == 1) {
+        // A one-product clause folds its factors straight into acc.
+        const Span& product = plan_.products[clause.begin];
+        for (size_t f = product.begin; f < product.end; ++f) {
+          Combine(f, acc, w, /*is_or=*/false);
+        }
+      } else {
+        EvalClause(clause, clause_.data(), w);
+        kernels_.and_into(acc, clause_.data(), w * sizeof(WordT));
+      }
+    }
+  }
+
+  // dst = OR of the clause's products.
+  void EvalClause(const Span& clause, WordT* dst, uint64_t w) {
+    if (clause.size() == 0) {
+      std::fill_n(dst, w, WordT{0});
+      return;
+    }
+    EvalProduct(plan_.products[clause.begin], dst, w);
+    for (size_t p = clause.begin + 1; p < clause.end; ++p) {
+      const Span& product = plan_.products[p];
+      if (product.size() == 1) {
+        Combine(product.begin, dst, w, /*is_or=*/true);
+      } else {
+        EvalProduct(product, product_.data(), w);
+        kernels_.or_into(dst, product_.data(), w * sizeof(WordT));
+      }
+    }
+  }
+
+  // dst = AND of the product's factors, led by its first plain operand.
+  void EvalProduct(const Span& product, WordT* dst, uint64_t w) {
+    size_t lead = product.end;
+    for (size_t f = product.begin; f < product.end; ++f) {
+      if (!plan_.factors[f].negate) {
+        lead = f;
+        break;
+      }
+    }
+    if (lead == product.end) {
+      std::fill_n(dst, w, kFull);
+    } else if (const size_t s = source_of_[lead]; !shared_[s].empty()) {
+      std::copy_n(shared_[s].data(), w, dst);
+    } else {
+      DecodeWindow(its_[s], dst, w);
+    }
+    for (size_t f = product.begin; f < product.end; ++f) {
+      if (f != lead) Combine(f, dst, w, /*is_or=*/false);
+    }
+  }
+
+  // dst = dst AND/OR factor f (complemented when negated).
+  void Combine(size_t f, WordT* dst, uint64_t w, bool is_or) {
+    const bool negate = plan_.factors[f].negate;
+    const size_t s = source_of_[f];
+    if (shared_[s].empty()) {
+      CombineWindow(its_[s], dst, w, is_or, negate, kernels_);
+      return;
+    }
+    const WordT* src = shared_[s].data();
+    const size_t bytes = static_cast<size_t>(w) * sizeof(WordT);
+    if (is_or) {
+      if (negate) {
+        kernels_.ornot_mask_into(dst, src, ReplicatedFullLiteral<WordT>(),
+                                 bytes);
+      } else {
+        kernels_.or_into(dst, src, bytes);
+      }
+    } else if (negate) {
+      kernels_.andnot_into(dst, src, bytes);
+    } else {
+      kernels_.and_into(dst, src, bytes);
+    }
+  }
+
+  const BasicWahTermPlan<WordT>& plan_;
+  const simd::Kernels& kernels_;
+  const uint64_t groups_;
+  const uint64_t window_;
+  std::vector<const BasicWahBitVector<WordT>*> vecs_;  // distinct operands
+  std::vector<size_t> source_of_;                      // factor -> vecs_ slot
+  std::vector<BasicWahRunIterator<WordT>> its_;        // one per vecs_ slot
+  std::vector<std::vector<WordT>> shared_;  // decoded window, shared slots
+  std::vector<WordT> acc_;
+  std::vector<WordT> clause_;
+  std::vector<WordT> product_;
+};
+
 // Word-width-dispatched scalar I/O for serialization.
 void WriteWord(BinaryWriter& writer, uint32_t word) { writer.WriteU32(word); }
 void WriteWord(BinaryWriter& writer, uint64_t word) { writer.WriteU64(word); }
@@ -573,29 +803,27 @@ uint64_t BasicWahBitVector<WordT>::Count() const {
 
 template <typename WordT>
 BitVector BasicWahBitVector<WordT>::Decompress() const {
-  BitVector out(size_);
+  // Word-level expansion: each literal group is one shift-or into the
+  // verbatim words, each 1-fill a word-range store, 0-fills cost nothing.
+  std::vector<uint64_t> words(bitutil::CeilDiv(size_, 64));
+  const uint64_t group_bits = size_ - static_cast<uint64_t>(active_bits_);
   uint64_t bit_pos = 0;
-  auto write_literal = [&](WordT lit) {
-    for (WordT w = lit; w != 0; w &= w - 1) {
-      out.Set(bit_pos + static_cast<uint64_t>(std::countr_zero(w)));
-    }
-    bit_pos += kGroupBits;
-  };
   for (WordT w : code_words()) {
     if (Traits<WordT>::IsFill(w)) {
       const uint64_t span = Traits<WordT>::FillGroups(w) * kGroupBits;
+      INCDB_CHECK(span <= group_bits - bit_pos);
       if (Traits<WordT>::FillBit(w)) {
-        out.SetRange(bit_pos, bit_pos + span);
+        SetBitRange(words.data(), bit_pos, bit_pos + span);
       }
       bit_pos += span;
     } else {
-      write_literal(w);
+      INCDB_CHECK(bit_pos < group_bits);
+      PackBits(words.data(), bit_pos, w, kGroupBits);
+      bit_pos += kGroupBits;
     }
   }
-  for (int i = 0; i < active_bits_; ++i) {
-    if ((active_word_ >> i) & 1) out.Set(bit_pos + i);
-  }
-  return out;
+  PackBits(words.data(), bit_pos, active_word_, active_bits_);
+  return VerbatimFromWords(size_, std::move(words));
 }
 
 template <typename WordT>
@@ -1013,7 +1241,55 @@ Result<BasicWahBitVector<WordT>> BasicWahBitVector<WordT>::LoadFrom(
   return out;
 }
 
+template <typename WordT>
+bool BasicWahTermPlan<WordT>::PrefersDense() const {
+  const double threshold = wah_internal::DenseBlockThreshold();
+  if (threshold <= 0.0) return true;
+  const uint64_t groups =
+      num_bits / static_cast<uint64_t>(Traits<WordT>::kGroupBits);
+  if (threshold > 1.0 || factors.empty() || groups == 0) return false;
+  uint64_t code_words = 0;
+  for (const Operand& op : factors) code_words += op.vec->NumWords();
+  return static_cast<double>(code_words) >=
+         threshold * static_cast<double>(groups * factors.size());
+}
+
+template <typename WordT>
+uint64_t BasicWahTermPlan<WordT>::DenseCount(WahOpStats* op_stats) const {
+  DensePlanPass<WordT> pass(*this);
+  const simd::Kernels& kernels = simd::ActiveKernels();
+  uint64_t count = 0;
+  pass.Run(
+      [&](const WordT* window, uint64_t w) {
+        count +=
+            kernels.popcount(window, static_cast<size_t>(w) * sizeof(WordT));
+      },
+      op_stats);
+  return count + static_cast<uint64_t>(std::popcount(pass.ActiveResult()));
+}
+
+template <typename WordT>
+BitVector BasicWahTermPlan<WordT>::DenseMaterialize(
+    WahOpStats* op_stats) const {
+  constexpr int kGroupBits = Traits<WordT>::kGroupBits;
+  DensePlanPass<WordT> pass(*this);
+  std::vector<uint64_t> words(bitutil::CeilDiv(num_bits, 64));
+  uint64_t bit_pos = 0;
+  pass.Run(
+      [&](const WordT* window, uint64_t w) {
+        for (uint64_t i = 0; i < w; ++i) {
+          PackBits(words.data(), bit_pos, window[i], kGroupBits);
+          bit_pos += kGroupBits;
+        }
+      },
+      op_stats);
+  PackBits(words.data(), bit_pos, pass.ActiveResult(),
+           static_cast<int>(num_bits - bit_pos));
+  return VerbatimFromWords(num_bits, std::move(words));
+}
+
 template class BasicWahBitVector<uint32_t>;
 template class BasicWahBitVector<uint64_t>;
+template struct BasicWahTermPlan<uint32_t>;
 
 }  // namespace incdb

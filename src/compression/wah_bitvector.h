@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -456,6 +457,67 @@ BasicWahRunIterator<WordT>::BasicWahRunIterator(
   Load();
 }
 
+/// A boolean formula over WAH vectors in the one shape every bitmap
+/// encoding's interval rule lowers to (bitmap/encoder.h, LowerSlotInterval):
+/// an AND of clauses, each clause an OR of products, each product an AND of
+/// operands read optionally through a complement. A whole query lowers into
+/// one plan — one clause per search-key term — so the dense executor below
+/// can evaluate it in a single pass.
+///
+/// Stored flat: a product is a span of `factors`, a clause a span of
+/// `products`. No clauses means all ones, an empty clause all zeros, an
+/// empty product all ones. Every operand must span `num_bits` bits.
+template <typename WordT>
+struct BasicWahTermPlan {
+  using Operand = typename BasicWahBitVector<WordT>::Operand;
+  struct Span {
+    size_t begin = 0;
+    size_t end = 0;
+    size_t size() const { return end - begin; }
+  };
+
+  explicit BasicWahTermPlan(uint64_t bits) : num_bits(bits) {}
+
+  /// Opens a new, empty clause.
+  void AddClause() { clauses.push_back({products.size(), products.size()}); }
+  /// Appends an empty product to the open clause.
+  void AddProduct() {
+    products.push_back({factors.size(), factors.size()});
+    clauses.back().end = products.size();
+  }
+  /// Appends the product AND(ops) to the open clause.
+  void AddProduct(std::initializer_list<Operand> ops) {
+    AddProduct();
+    for (const Operand& op : ops) AddFactor(op);
+  }
+  /// Appends one operand to the open product.
+  void AddFactor(Operand op) {
+    factors.push_back(op);
+    products.back().end = factors.size();
+  }
+
+  /// True when the dense executor should run this plan: its operands
+  /// average at least wah_internal::DenseBlockThreshold() code words per
+  /// group — the estimate the fused kernels seed their first window with.
+  /// A threshold <= 0 forces the dense executor, one above 1 disables it.
+  bool PrefersDense() const;
+
+  /// The dense executor: evaluates every clause in one pass of L1-resident
+  /// windows. Each distinct operand is decoded once per window (fills via
+  /// fill_n, literal runs zero-copy) and folded with the SIMD and/or/andnot
+  /// kernels; no intermediate WAH vector is built. DenseCount popcounts the
+  /// result windows; DenseMaterialize repacks their group words into a
+  /// verbatim BitVector. `op_stats` (nullable) receives one dense window
+  /// per window and the group words decoded.
+  uint64_t DenseCount(WahOpStats* op_stats = nullptr) const;
+  BitVector DenseMaterialize(WahOpStats* op_stats = nullptr) const;
+
+  uint64_t num_bits = 0;
+  std::vector<Operand> factors;
+  std::vector<Span> products;
+  std::vector<Span> clauses;
+};
+
 /// The paper's (and FastBit's) canonical 32-bit WAH.
 using WahBitVector = BasicWahBitVector<uint32_t>;
 /// 64-bit-word WAH for the word-size ablation.
@@ -464,8 +526,11 @@ using Wah64BitVector = BasicWahBitVector<uint64_t>;
 using WahRunIterator = BasicWahRunIterator<uint32_t>;
 using Wah64RunIterator = BasicWahRunIterator<uint64_t>;
 
+using WahTermPlan = BasicWahTermPlan<uint32_t>;
+
 extern template class BasicWahBitVector<uint32_t>;
 extern template class BasicWahBitVector<uint64_t>;
+extern template struct BasicWahTermPlan<uint32_t>;
 
 }  // namespace incdb
 
