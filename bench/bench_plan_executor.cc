@@ -15,6 +15,13 @@
 // equality index, and the dense C = 10 serving table under the range index
 // (paper Fig. 5(b): WAH cannot compress either).
 //
+// A second table times the tail scan: a 512Ki-row segmented store (8 sealed
+// 64Ki-row segments) whose unsealed tail is one row short of sealing, so
+// every request ends in a 65535-row delta scan. For a term conjunction and
+// an expression with NOT/OR it reports the column-at-a-time evaluator's
+// rate over the tail alone (query/block_scan.h), the row oracle's rate over
+// the same rows for reference, and the whole plan (segment probes + tail).
+//
 // Usage: bench_plan_executor [--json <path>]
 // With --json, timings are also written as the machine-readable
 // BENCH_plan_executor.json trajectory file.
@@ -30,6 +37,7 @@
 #include "core/database.h"
 #include "plan/plan_executor.h"
 #include "plan/planner.h"
+#include "query/block_scan.h"
 #include "table/generator.h"
 
 namespace incdb {
@@ -110,6 +118,97 @@ double MustTimePlan(const Database& db, const QueryRequest& request,
   return best;
 }
 
+double MillionRowsPerSecond(uint64_t rows, double millis) {
+  return millis > 0.0 ? static_cast<double>(rows) / millis / 1000.0 : 0.0;
+}
+
+void RunTailScanCases() {
+  constexpr uint64_t kSealedRows = 512 * 1024;
+  constexpr uint64_t kTailRows = 64 * 1024 - 1;
+  Database db = MustMakeDatabase(kSealedRows + kTailRows, 10, nullptr);
+  const Status status = db.EnableSegments(SegmentOptions());
+  if (!status.ok() || db.sealed_rows() != kSealedRows) {
+    std::fprintf(stderr, "segments: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+  const Snapshot snapshot = db.GetSnapshot();
+  const Table& table = *snapshot.state().table;
+  const uint64_t rows = snapshot.num_rows();
+
+  const QueryExpr terms_expr = QueryExpr::FromRangeQuery(
+      [] {
+        RangeQuery query;
+        for (size_t a = 0; a < 4; ++a) {
+          query.terms.push_back({a, {3, static_cast<Value>(4 + a)}});
+        }
+        return query;
+      }());
+  const QueryExpr not_or_expr = QueryExpr::MakeOr(
+      {QueryExpr::MakeAnd({QueryExpr::MakeTerm(0, {2, 4}),
+                           QueryExpr::MakeNot(QueryExpr::MakeTerm(1, {5, 6}))}),
+       QueryExpr::MakeNot(QueryExpr::MakeOr(
+           {QueryExpr::MakeTerm(2, {1, 3}), QueryExpr::MakeTerm(3, {7, 7})}))});
+  struct TailCase {
+    const char* name;
+    const QueryExpr* expr;
+    MissingSemantics semantics;
+  };
+  const TailCase cases[] = {
+      {"tail_conjunction", &terms_expr, MissingSemantics::kNoMatch},
+      {"tail_not_or", &not_or_expr, MissingSemantics::kMatch},
+  };
+
+  bench::PrintHeader({"case", "sealed_rows", "tail_rows", "scan_ms",
+                      "scan_mrows_s", "oracle_ms", "oracle_mrows_s",
+                      "plan_ms"});
+  for (const TailCase& c : cases) {
+    const BlockScan scan(*c.expr, c.semantics);
+    BitVector out(rows);
+    double scan_ms = 0.0;
+    double oracle_ms = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      out.ClearAll();
+      Timer timer;
+      scan.Run(table, kSealedRows, rows, &out);
+      const double millis = timer.ElapsedMillis();
+      if (rep == 0 || millis < scan_ms) scan_ms = millis;
+    }
+    const uint64_t matches = out.Count();
+    for (int rep = 0; rep < kReps; ++rep) {
+      uint64_t oracle_matches = 0;
+      Timer timer;
+      for (uint64_t r = kSealedRows; r < rows; ++r) {
+        if (ExprMatches(table, r, *c.expr, c.semantics)) ++oracle_matches;
+      }
+      const double millis = timer.ElapsedMillis();
+      if (oracle_matches != matches) {
+        std::fprintf(stderr, "%s: scan %llu vs oracle %llu matches\n", c.name,
+                     static_cast<unsigned long long>(matches),
+                     static_cast<unsigned long long>(oracle_matches));
+        std::exit(1);
+      }
+      if (rep == 0 || millis < oracle_ms) oracle_ms = millis;
+    }
+    g_sink += matches;
+    const double plan_ms = MustTimePlan(
+        db, QueryRequest::Expression(*c.expr, c.semantics), false, 1);
+
+    const std::string config = std::string(c.name) +
+                               "&sealed=" + std::to_string(kSealedRows) +
+                               "&tail=" + std::to_string(kTailRows);
+    bench::RecordResult("tail_scan", config, scan_ms, 0);
+    bench::RecordResult("tail_plan", config, plan_ms, 0);
+    bench::PrintRow({c.name, std::to_string(kSealedRows),
+                     std::to_string(kTailRows), bench::FormatDouble(scan_ms),
+                     bench::FormatDouble(
+                         MillionRowsPerSecond(kTailRows, scan_ms), 1),
+                     bench::FormatDouble(oracle_ms),
+                     bench::FormatDouble(
+                         MillionRowsPerSecond(kTailRows, oracle_ms), 1),
+                     bench::FormatDouble(plan_ms)});
+  }
+}
+
 }  // namespace
 
 int BenchMain(int argc, char** argv) {
@@ -164,6 +263,8 @@ int BenchMain(int argc, char** argv) {
                      bench::FormatDouble(split_vs_fused, 2),
                      bench::FormatDouble(speedup, 2)});
   }
+
+  RunTailScanCases();
 
   if (g_sink == 0) std::fprintf(stderr, "# sink empty (unexpected)\n");
   bench::WriteJson();

@@ -181,6 +181,22 @@ std::vector<uint32_t> BitVector::ToIndices() const {
   return indices;
 }
 
+std::vector<uint32_t> BitVector::FirstIndices(uint64_t limit) const {
+  size_t prefix_words = 0;
+  uint64_t found = 0;
+  while (prefix_words < words_.size() && found < limit) {
+    found += static_cast<uint64_t>(bitutil::PopCount(words_[prefix_words]));
+    ++prefix_words;
+  }
+  std::vector<uint32_t> indices(found);
+  const size_t written = simd::ActiveKernels().extract_set_bits(
+      words_.data(), prefix_words, /*base=*/0, indices.data());
+  INCDB_DCHECK(written == indices.size());
+  (void)written;
+  if (found > limit) indices.resize(limit);
+  return indices;
+}
+
 std::string BitVector::ToString() const {
   std::string out(size_, '0');
   ForEachSetBit([&](uint64_t i) { out[i] = '1'; });

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 
 namespace incdb {
@@ -55,6 +56,16 @@ class BitVector {
   /// Word-at-a-time; used by WAH decompression to expand one-fills.
   void SetRange(uint64_t begin, uint64_t end);
 
+  /// ORs `bits` into word `word_index` (bits 64 * word_index onwards). Bits
+  /// at or beyond size() must be zero. Producers that evaluate 64 rows at a
+  /// time write whole words; writers of distinct words share no memory.
+  void OrWord(uint64_t word_index, uint64_t bits) {
+    INCDB_DCHECK(word_index < words_.size());
+    INCDB_DCHECK(word_index + 1 < words_.size() || size_ % 64 == 0 ||
+                 (bits >> (size_ % 64)) == 0);
+    words_[word_index] |= bits;
+  }
+
   /// Appends one bit at the end.
   void PushBack(bool value);
 
@@ -89,6 +100,10 @@ class BitVector {
 
   /// Indices of all set bits, ascending.
   std::vector<uint32_t> ToIndices() const;
+
+  /// Indices of the first `limit` set bits, ascending (all of them when
+  /// fewer are set). Scans only the words up to the limit-th set bit.
+  std::vector<uint32_t> FirstIndices(uint64_t limit) const;
 
   /// '0'/'1' string, bit 0 first (matches the paper's tables).
   std::string ToString() const;

@@ -55,7 +55,7 @@ struct CompactionStats {
 ///    registry and the deletion mask are copy-on-write.
 ///  * Indexes are immutable once published; they cover exactly the rows
 ///    that existed when BuildIndex ran. Rows appended later are answered
-///    by the executor's delta scan (RowMatches over the uncovered tail)
+///    by the executor's delta scan (a column-at-a-time scan of the tail)
 ///    until a rebuild re-covers them — so Insert stays O(1) per index and
 ///    readers never observe a half-updated structure.
 ///

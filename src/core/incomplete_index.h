@@ -33,9 +33,9 @@ struct QueryStats {
   uint64_t nodes_accessed = 0;
   /// Bitstring-augmented baseline: number of subqueries executed (up to 2^k).
   uint64_t subqueries = 0;
-  /// Row-oracle scans (the plan layer's delta scan over the appended tail
-  /// and the sequential-scan fallback): rows evaluated one by one. Scans
-  /// also charge words_touched with one unit per cell read, so routing's
+  /// Scans (the plan layer's delta scan over the appended tail and the
+  /// sequential-scan fallback): rows in the scanned range. Scans also
+  /// charge words_touched with one unit per cell read, so routing's
   /// predicted-vs-realized cost comparison covers the tail.
   uint64_t rows_scanned = 0;
   /// Bitmap indexes: windows the fused WAH kernels routed through the

@@ -2,7 +2,6 @@
 #define INCDB_PLAN_PLAN_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,7 +9,7 @@
 #include "core/incomplete_index.h"
 #include "core/query_api.h"
 #include "core/snapshot.h"
-#include "query/expr.h"
+#include "query/block_scan.h"
 #include "query/query.h"
 
 namespace incdb {
@@ -39,11 +38,12 @@ enum class OpKind {
   /// (safe under enclosing kNot). Carries the same effective-semantics
   /// contract as kIndexProbe.
   kSegmentProbe,
-  /// Row-oracle scan over the appended tail [begin_row, end_row) that the
-  /// serving index does not cover. Always a direct child of the sink (a
+  /// Scan over the appended tail [begin_row, end_row) that the serving
+  /// index does not cover, evaluated column-at-a-time into 64-row match
+  /// words (query/block_scan.h). Always a direct child of the sink (a
   /// partial-range scan must never sit under a kNot).
   kDeltaScan,
-  /// Row-oracle scan over the full visible range when no index wins the
+  /// The same scan over the full visible range when no index wins the
   /// cost race (or none is registered).
   kSeqScanFallback,
   /// Intersection / union / complement of child outputs. kNot flips the
@@ -99,13 +99,12 @@ struct PlanNode {
   /// Executor working state: one local-row-space output per segment.
   std::vector<BitVector> segment_outputs;
 
-  // kDeltaScan / kSeqScanFallback — exactly one predicate form is set.
+  // kDeltaScan / kSeqScanFallback — the predicate (terms or expression),
+  // compiled once by the planner for the column-at-a-time evaluator.
   const Table* table = nullptr;
   uint64_t begin_row = 0;
   uint64_t end_row = 0;
-  std::optional<QueryExpr> scan_expr;
-  MissingSemantics scan_semantics = MissingSemantics::kMatch;
-  RangeQuery scan_query;
+  BlockScan scan;
 
   /// Planner's selectivity estimate for this operator's output (§5.3
   /// model); negative when no estimate is available (bare-index plans).

@@ -17,7 +17,7 @@ namespace {
 /// One unit of parallel leaf work: a whole index probe, or one morsel of a
 /// scan operator's row range. Tasks never share mutable state — each has
 /// its own stats/status slot, probe tasks own their node's output, and scan
-/// morsels are word-aligned so concurrent Set calls touch disjoint words of
+/// morsels are word-aligned so concurrent morsels write disjoint words of
 /// the shared output bitvector.
 struct LeafTask {
   PlanNode* node = nullptr;
@@ -37,15 +37,6 @@ bool IsScan(OpKind kind) {
 
 bool IsSink(OpKind kind) {
   return kind == OpKind::kCountSink || kind == OpKind::kMaterializeSink;
-}
-
-uint64_t CountExprLeaves(const QueryExpr& expr) {
-  if (expr.kind() == QueryExpr::Kind::kTerm) return 1;
-  uint64_t leaves = 0;
-  for (const QueryExpr& child : expr.children()) {
-    leaves += CountExprLeaves(child);
-  }
-  return leaves;
 }
 
 /// Walks the tree, allocates scan outputs, and emits the leaf task list.
@@ -149,24 +140,15 @@ void RunTask(LeafTask* task, ThreadRole& phase) INCDB_REQUIRES_SHARED(phase) {
     node.segment_outputs[task->begin] = std::move(result).value();
     return;
   }
-  // Scan morsel: row oracle over [begin, end). Charges one rows_scanned
+  // Scan morsel: the compiled predicate over [begin, end), written as
+  // whole 64-row words (morsels never share one). Charges one rows_scanned
   // unit per row and one words_touched unit per cell the predicate can
   // read, so the tail's cost shows up in QueryStats like probe traffic
-  // does (delta rows used to go uncounted).
-  const uint64_t cells_per_row =
-      node.scan_expr.has_value()
-          ? CountExprLeaves(*node.scan_expr)
-          : static_cast<uint64_t>(node.scan_query.terms.size());
-  for (uint64_t row = task->begin; row < task->end; ++row) {
-    const bool match =
-        node.scan_expr.has_value()
-            ? ExprMatches(*node.table, row, *node.scan_expr,
-                          node.scan_semantics)
-            : RowMatches(*node.table, row, node.scan_query);
-    if (match) node.output.Set(row);
-  }
+  // does.
+  node.scan.Run(*node.table, task->begin, task->end, &node.output);
   task->stats.rows_scanned += task->end - task->begin;
-  task->stats.words_touched += (task->end - task->begin) * cells_per_row;
+  task->stats.words_touched +=
+      (task->end - task->begin) * static_cast<uint64_t>(node.scan.num_terms());
 }
 
 /// Deterministic post-join merge: task order is plan order regardless of
@@ -467,12 +449,10 @@ Result<QueryResult> ExecutePlan(PhysicalPlan* plan,
   StripDeleted(plan->state, &result);
   out.count = result.Count();
   if (!plan->count_only) {
-    out.row_ids = result.ToIndices();
     // Row-limit cap: count above stays the full match count; only the
-    // materialized ids are truncated (QueryRequest::Limit contract).
-    if (plan->limit != 0 && out.row_ids.size() > plan->limit) {
-      out.row_ids.resize(plan->limit);
-    }
+    // first `limit` ids are extracted (QueryRequest::Limit contract).
+    out.row_ids = plan->limit != 0 ? result.FirstIndices(plan->limit)
+                                   : result.ToIndices();
   }
   FinalizeSink(sink, out.count, plan->visible_rows);
   out.stats = AggregateStats(*sink);

@@ -63,8 +63,8 @@ double Log2Ceil(uint32_t cardinality) {
 /// docs/KERNELS.md; sparse cells never touch the kernels, which is why the
 /// all-matrix means sit well above the ~0.3 dense-only ratios). They scale
 /// every bitmap kind equally — bitmap-vs-bitmap ranking is untouched — but
-/// shift the crossover against the row-oracle scans, whose per-cell cost
-/// the wider kernels do not change.
+/// shift the crossover against the scans, whose per-cell cost the wider
+/// kernels do not change.
 double SimdWordCostFactor() {
   switch (simd::ActiveLevel()) {
     case simd::Level::kAvx2:
@@ -458,20 +458,20 @@ double UnprunedFraction(const PlanNode& probe) {
 std::unique_ptr<PlanNode> MakeTermsScan(const internal::SnapshotState* state,
                                         OpKind kind, const Table& table,
                                         uint64_t begin, uint64_t end,
-                                        RangeQuery query) {
+                                        const RangeQuery& query) {
   auto node = std::make_unique<PlanNode>();
   node->kind = kind;
   node->table = &table;
   node->begin_row = begin;
   node->end_row = end;
-  node->scan_query = std::move(query);
+  node->scan = BlockScan(query);
   if (state != nullptr) {
-    node->estimated_selectivity = TermsSelectivity(
-        *state, node->scan_query.terms, node->scan_query.semantics);
+    node->estimated_selectivity =
+        TermsSelectivity(*state, query.terms, query.semantics);
   }
   node->label = std::string(OpKindToString(kind)) + " rows [" +
                 std::to_string(begin) + "," + std::to_string(end) + ") " +
-                node->scan_query.ToString();
+                query.ToString();
   return node;
 }
 
@@ -485,8 +485,7 @@ std::unique_ptr<PlanNode> MakeExprScan(const internal::SnapshotState* state,
   node->table = &table;
   node->begin_row = begin;
   node->end_row = end;
-  node->scan_expr = expr;
-  node->scan_semantics = semantics;
+  node->scan = BlockScan(expr, semantics);
   if (state != nullptr) {
     node->estimated_selectivity = ExprSelectivity(*state, expr, semantics);
   }

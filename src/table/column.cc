@@ -59,6 +59,29 @@ Value Column::GetFromExtents(uint64_t row) const {
   return extent_values_[e][row - extent_starts_[e]];
 }
 
+Column::Span Column::SpanAt(uint64_t row, uint64_t end) const {
+  // size_ is not checked: the single writer may be appending concurrently.
+  INCDB_DCHECK(row < end);
+  if (row < num_borrowed_) {
+    if (borrowed_ != nullptr) {
+      return Span{borrowed_ + row, std::min(end, num_borrowed_) - row};
+    }
+    const auto it = std::upper_bound(extent_starts_.begin(),
+                                     extent_starts_.end(), row);
+    const uint64_t stop = it == extent_starts_.end() ? num_borrowed_ : *it;
+    const size_t e = static_cast<size_t>(it - extent_starts_.begin()) - 1;
+    return Span{extent_values_[e] + (row - extent_starts_[e]),
+                std::min(end, stop) - row};
+  }
+  const uint64_t biased = (row - num_borrowed_) + kFirstBlockSize;
+  const int high_bit = 63 - __builtin_clzll(biased);
+  const uint64_t offset = biased - (uint64_t{1} << high_bit);
+  const uint64_t room = (uint64_t{1} << high_bit) - offset;
+  return Span{
+      blocks_[static_cast<size_t>(high_bit) - kFirstBlockBits].get() + offset,
+      std::min(end - row, room)};
+}
+
 Column::Column(const Column& other)
     : cardinality_(other.cardinality_),
       size_(other.size_),

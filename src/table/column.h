@@ -111,6 +111,31 @@ class Column {
 
   bool IsMissingAt(uint64_t row) const { return IsMissing(Get(row)); }
 
+  /// A run of cells stored contiguously: rows [r, r + count) of the column
+  /// live at values[0, count) for the row r it was requested at.
+  struct Span {
+    const Value* values = nullptr;
+    uint64_t count = 0;
+  };
+
+  /// The longest contiguous run that starts at `row` and ends at or before
+  /// `end` (requires row < end <= num_rows()). Runs break at heap block
+  /// edges, at the end of the borrowed prefix and at extent edges, so a
+  /// batch scan pays one block lookup (or extent search) per run instead
+  /// of one per row.
+  Span SpanAt(uint64_t row, uint64_t end) const;
+
+  /// Calls `fn(row, values, count)` for the runs that tile [begin, end)
+  /// exactly, in row order.
+  template <typename Fn>
+  void ForEachSpan(uint64_t begin, uint64_t end, Fn&& fn) const {
+    while (begin < end) {
+      const Span span = SpanAt(begin, end);
+      fn(begin, span.values, span.count);
+      begin += span.count;
+    }
+  }
+
   /// Number of missing cells.
   uint64_t MissingCount() const;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace incdb {
@@ -129,6 +132,33 @@ TEST(BitVectorTest, ToIndices) {
   bv.Set(1);
   bv.Set(9);
   EXPECT_EQ(bv.ToIndices(), (std::vector<uint32_t>{1, 9}));
+}
+
+TEST(BitVectorTest, FirstIndicesIsThePrefixOfToIndices) {
+  Rng rng(7);
+  BitVector bv(1000);
+  for (uint64_t i = 0; i < bv.size(); ++i) {
+    if (rng.Bernoulli(0.05)) bv.Set(i);
+  }
+  const std::vector<uint32_t> all = bv.ToIndices();
+  ASSERT_GT(all.size(), 10u);
+  for (uint64_t limit : {uint64_t{1}, uint64_t{2}, uint64_t{10},
+                         uint64_t{all.size() - 1}, uint64_t{all.size()},
+                         uint64_t{all.size() + 1}, uint64_t{1} << 40}) {
+    const std::vector<uint32_t> first = bv.FirstIndices(limit);
+    ASSERT_EQ(first.size(), std::min<uint64_t>(limit, all.size())) << limit;
+    EXPECT_TRUE(std::equal(first.begin(), first.end(), all.begin())) << limit;
+  }
+  EXPECT_TRUE(bv.FirstIndices(0).empty());
+  EXPECT_TRUE(BitVector(0).FirstIndices(5).empty());
+}
+
+TEST(BitVectorTest, OrWordSetsWholeWords) {
+  BitVector bv(130);
+  bv.Set(3);
+  bv.OrWord(0, uint64_t{1} << 63 | 1);
+  bv.OrWord(2, 0x3);  // bits 128, 129: the last word's only valid bits
+  EXPECT_EQ(bv.ToIndices(), (std::vector<uint32_t>{0, 3, 63, 128, 129}));
 }
 
 TEST(BitVectorTest, Equality) {

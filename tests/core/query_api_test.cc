@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "core/database.h"
 #include "core/query_api.h"
 #include "table/generator.h"
@@ -166,6 +171,44 @@ TEST(QueryApiTest, LimitTruncatesRowIdsButNotTheCount) {
   ASSERT_EQ(limited->row_ids.size(), 2u);
   EXPECT_EQ(limited->row_ids[0], all->row_ids[0]);
   EXPECT_EQ(limited->row_ids[1], all->row_ids[1]);
+}
+
+TEST(QueryApiTest, LimitedAnswerIsThePrefixOfTheUnlimitedOne) {
+  // An index over the first rows plus a delta-scanned tail with a delete,
+  // so the limited ids come from the merged, delete-stripped result.
+  Database db = Database::FromTable(
+                    GenerateTable(UniformSpec(3000, 6, 0.2, 2, 41)).value())
+                    .value();
+  ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
+  for (uint64_t r = 0; r < 700; ++r) {
+    ASSERT_TRUE(db.Insert({static_cast<Value>(1 + r % 6),
+                           r % 5 == 0 ? kMissingValue
+                                      : static_cast<Value>(1 + r % 4)})
+                    .ok());
+  }
+  ASSERT_TRUE(db.Delete(5).ok());
+  for (MissingSemantics semantics :
+       {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
+    for (const std::string text : {"a0 IN [2,5]", "NOT a1 = 3 OR a0 = 1"}) {
+      const auto all = db.Run(QueryRequest::Text(text, semantics));
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      ASSERT_GT(all->count, 100u);
+      ASSERT_EQ(all->row_ids.size(), all->count);
+      for (uint64_t limit : {uint64_t{1}, uint64_t{63}, uint64_t{64},
+                             uint64_t{65}, all->count - 1, all->count,
+                             all->count + 9}) {
+        const auto limited =
+            db.Run(QueryRequest::Text(text, semantics).Limit(limit));
+        ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+        EXPECT_EQ(limited->count, all->count);
+        const std::vector<uint32_t> prefix(
+            all->row_ids.begin(),
+            all->row_ids.begin() +
+                static_cast<std::ptrdiff_t>(std::min(limit, all->count)));
+        EXPECT_EQ(limited->row_ids, prefix) << text << " limit " << limit;
+      }
+    }
+  }
 }
 
 TEST(QueryApiTest, RunRejectsBadRequests) {
