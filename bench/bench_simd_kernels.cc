@@ -1,7 +1,7 @@
 // Measures the windowed hybrid fusion engine (dense-block SIMD fast path +
 // runtime-dispatched kernels) against the pure compressed-form scalar
-// engine it replaces, across bit density, operand count, code-word width
-// and dispatch level.
+// engine it replaces, across bit density, operand count and dispatch
+// level.
 //
 // The baseline mode ("base") forces scalar kernels AND disables the dense
 // path (threshold > 1), which is exactly the pre-SIMD multiway engine.
@@ -121,38 +121,36 @@ std::vector<simd::Level> AvailableLevels() {
   return levels;
 }
 
-template <typename Word>
-void RunSuite(const char* word_name, uint64_t num_bits, int reps,
-              double dense_threshold) {
-  using Vec = BasicWahBitVector<Word>;
-
+void RunSuite(uint64_t num_bits, int reps, double dense_threshold) {
   for (const DensityConfig& dc : kDensities) {
     for (size_t k : kOperandCounts) {
       Rng rng(0x9e3779b9u ^ (k * 131) ^
               static_cast<uint64_t>(dc.density * 1e6));
-      std::vector<Vec> operands;
+      std::vector<WahBitVector> operands;
       operands.reserve(k);
       uint64_t bytes = 0;
       for (size_t i = 0; i < k; ++i) {
-        operands.push_back(Vec::Compress(
+        operands.push_back(WahBitVector::Compress(
             ClusteredBits(num_bits, dc.density, dc.run_len, rng)));
         bytes += operands.back().SizeInBytes();
       }
-      std::vector<const Vec*> ptrs;
-      for (const Vec& v : operands) ptrs.push_back(&v);
-      const std::span<const Vec* const> span(ptrs.data(), ptrs.size());
+      std::vector<const WahBitVector*> ptrs;
+      for (const WahBitVector& v : operands) ptrs.push_back(&v);
+      const std::span<const WahBitVector* const> span(ptrs.data(), ptrs.size());
 
       auto time_kernels = [&] {
         KernelTimes t;
         t.or_many = BestMillis(reps, [&] {
-          g_sink += Vec::OrMany(span).NumWords();
+          g_sink += WahBitVector::OrMany(span).NumWords();
         });
         t.and_many = BestMillis(reps, [&] {
-          g_sink += Vec::AndMany(span).NumWords();
+          g_sink += WahBitVector::AndMany(span).NumWords();
         });
-        t.or_count = BestMillis(reps, [&] { g_sink += Vec::OrManyCount(span); });
+        t.or_count = BestMillis(reps, [&] {
+          g_sink += WahBitVector::OrManyCount(span);
+        });
         t.and_count = BestMillis(reps, [&] {
-          g_sink += Vec::AndManyCount(span);
+          g_sink += WahBitVector::AndManyCount(span);
         });
         return t;
       };
@@ -160,12 +158,14 @@ void RunSuite(const char* word_name, uint64_t num_bits, int reps,
       // Baseline: the pre-SIMD engine — scalar kernels, dense path off.
       simd::ForceLevelForTesting(simd::Level::kScalar);
       wah_internal::SetDenseBlockThresholdForTesting(2.0);
-      const uint64_t or_expect = Vec::OrManyCount(span);
-      const uint64_t and_expect = Vec::AndManyCount(span);
+      const uint64_t or_expect = WahBitVector::OrManyCount(span);
+      const uint64_t and_expect = WahBitVector::AndManyCount(span);
       const KernelTimes base = time_kernels();
 
-      const std::string config = std::string(word_name) + "/" + dc.name +
-                                 "/k" + std::to_string(k);
+      // "w32/" names the 32-bit code words; the committed baselines key on
+      // it.
+      const std::string config =
+          std::string("w32/") + dc.name + "/k" + std::to_string(k);
       bench::RecordResult("or_many@base", config, base.or_many, bytes);
       bench::RecordResult("and_many@base", config, base.and_many, bytes);
       bench::RecordResult("or_count@base", config, base.or_count, bytes);
@@ -175,8 +175,8 @@ void RunSuite(const char* word_name, uint64_t num_bits, int reps,
         simd::ForceLevelForTesting(level);
         wah_internal::SetDenseBlockThresholdForTesting(dense_threshold);
         // Sanity: the hybrid engine must agree with the baseline.
-        if (Vec::OrManyCount(span) != or_expect ||
-            Vec::AndManyCount(span) != and_expect) {
+        if (WahBitVector::OrManyCount(span) != or_expect ||
+            WahBitVector::AndManyCount(span) != and_expect) {
           std::fprintf(stderr, "HYBRID/BASELINE MISMATCH (%s %s)\n",
                        config.c_str(), simd::LevelToString(level).data());
           std::exit(1);
@@ -219,8 +219,7 @@ int Main(int argc, char** argv) {
   bench::PrintHeader({"config", "mode", "k", "or_ms", "or_x", "and_ms",
                       "and_x", "orcnt_ms", "orcnt_x", "andcnt_ms",
                       "andcnt_x"});
-  RunSuite<uint32_t>("w32", num_bits, reps, dense_threshold);
-  RunSuite<uint64_t>("w64", num_bits, reps, dense_threshold);
+  RunSuite(num_bits, reps, dense_threshold);
 
   std::printf("# checksum %llu\n", static_cast<unsigned long long>(g_sink));
   bench::WriteJson();

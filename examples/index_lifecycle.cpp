@@ -1,14 +1,14 @@
-// Index lifecycle tour: build → persist to disk → reload → append new
-// records incrementally → run boolean (AND/OR/NOT) queries under both
-// missing-data semantics via the Database facade — including the snapshot
-// model that lets readers keep serving while a writer mutates.
+// Index lifecycle tour: build → persist to a store → reopen → append new
+// records → run boolean (AND/OR/NOT) queries under both missing-data
+// semantics via the Database facade — including the snapshot model that
+// lets readers keep serving while a writer mutates.
 //
 //   ./build/examples/index_lifecycle
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
-#include "bitmap/bitmap_index.h"
 #include "core/database.h"
 #include "plan/planner.h"
 #include "table/generator.h"
@@ -26,50 +26,50 @@ int main() {
                      {"region", 8, 0.05, 0.0}};
   Table table = GenerateTable(spec).value();
 
-  // --- persist an index and reload it ---
-  const BitmapIndex built =
-      BitmapIndex::Build(table, {BitmapEncoding::kRange,
-                                 MissingStrategy::kExtraBitmap})
-          .value();
-  const std::string path = "/tmp/incdb_defects.bre";
-  if (!built.Save(path).ok()) return 1;
-  auto loaded = BitmapIndex::Load(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+  // --- persist an index with its table and reopen the store ---
+  Database built = Database::FromTable(std::move(table)).value();
+  if (!built.BuildIndex(IndexKind::kBitmapRange).ok()) return 1;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "incdb_defects.incdb")
+          .string();
+  if (!built.Save(dir).ok()) return 1;
+  auto opened = Database::Open(dir);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
-  std::printf("saved + reloaded %s: %llu bytes on disk, %llu rows\n",
-              loaded->Name().c_str(),
-              static_cast<unsigned long long>(loaded->SizeInBytes()),
-              static_cast<unsigned long long>(loaded->num_rows()));
+  Database db = std::move(opened).value();
+  std::printf("saved + reopened %s: %llu index bytes on disk, %llu rows\n",
+              std::string(IndexKindToString(db.Indexes().at(0))).c_str(),
+              static_cast<unsigned long long>(db.IndexSizeInBytes()),
+              static_cast<unsigned long long>(db.num_rows()));
 
-  // --- incremental maintenance ---
-  BitmapIndex live = std::move(loaded).value();
+  // --- appends: the delta scan covers new rows, a rebuild re-indexes ---
   for (int i = 0; i < 1000; ++i) {
     const std::vector<Value> row = {static_cast<Value>(1 + i % 12),
                                     i % 3 == 0 ? kMissingValue
                                                : static_cast<Value>(1 + i % 5),
                                     static_cast<Value>(1 + i % 8)};
-    if (!table.AppendRow(row).ok() || !live.AppendRow(row).ok()) return 1;
+    if (!db.Insert(row).ok()) return 1;
   }
+  if (!db.BuildIndex(IndexKind::kBitmapRange).ok()) return 1;
   std::printf("appended 1000 records; index now covers %llu rows\n",
-              static_cast<unsigned long long>(live.num_rows()));
+              static_cast<unsigned long long>(db.num_rows()));
 
   // --- counting without materializing (compressed COUNT path) ---
-  RangeQuery severe;
-  severe.terms = {{1, {4, 5}}};
-  severe.semantics = MissingSemantics::kMatch;
-  const uint64_t possible = live.ExecuteCount(severe).value();
-  severe.semantics = MissingSemantics::kNoMatch;
-  const uint64_t confirmed = live.ExecuteCount(severe).value();
+  const auto possible = db.Run(
+      QueryRequest::Terms({{"severity", 4, 5}}, MissingSemantics::kMatch)
+          .CountOnly());
+  const auto confirmed = db.Run(
+      QueryRequest::Terms({{"severity", 4, 5}}, MissingSemantics::kNoMatch)
+          .CountOnly());
+  if (!possible.ok() || !confirmed.ok()) return 1;
   std::printf("severe defects: %llu confirmed, %llu possible "
               "(untriaged could still be severe)\n",
-              static_cast<unsigned long long>(confirmed),
-              static_cast<unsigned long long>(possible));
+              static_cast<unsigned long long>(confirmed->count),
+              static_cast<unsigned long long>(possible->count));
 
   // --- boolean queries through the Database facade ---
-  Database db = Database::FromTable(std::move(table)).value();
-  if (!db.BuildIndex(IndexKind::kBitmapRange).ok()) return 1;
   // "severe (4-5) in region 1-2, excluding component 7"
   const QueryExpr expr = QueryExpr::MakeAnd(
       {QueryExpr::MakeTerm(1, {4, 5}), QueryExpr::MakeTerm(2, {1, 2}),
@@ -121,6 +121,6 @@ int main() {
   }
   std::printf("\n");
 
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
   return 0;
 }

@@ -121,12 +121,22 @@ Result<MosaicIndex> MosaicIndex::LoadFrom(BinaryReader& reader,
       return Status::IOError("MOSAIC payload: tree " + std::to_string(t) +
                              " entry count mismatch");
     }
-    BPlusTree tree(static_cast<int>(fanout));
+    // Re-insert in record order, the order Build and AppendRow insert in,
+    // so the reopened tree has the built tree's shape: the same
+    // SizeInBytes() and the same nodes accessed per query.
+    std::vector<int32_t> key_of(num_rows);
+    std::vector<bool> seen(num_rows, false);
     for (size_t i = 0; i < keys.size(); ++i) {
-      if (records[i] >= num_rows) {
-        return Status::IOError("MOSAIC payload: record id out of range");
+      if (records[i] >= num_rows || seen[records[i]]) {
+        return Status::IOError(
+            "MOSAIC payload: record id out of range or repeated");
       }
-      tree.Insert(keys[i], records[i]);
+      seen[records[i]] = true;
+      key_of[records[i]] = keys[i];
+    }
+    BPlusTree tree(static_cast<int>(fanout));
+    for (uint64_t r = 0; r < num_rows; ++r) {
+      tree.Insert(key_of[r], static_cast<uint32_t>(r));
     }
     trees.push_back(std::move(tree));
   }

@@ -1,11 +1,9 @@
 #include "bitmap/bitmap_index.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "bitmap/slicer.h"
 #include "common/bitutil.h"
-#include "common/io.h"
 #include "common/logging.h"
 
 namespace incdb {
@@ -461,85 +459,6 @@ Status BitmapIndex::AppendRow(const std::vector<Value>& row) {
   }
   ++num_rows_;
   return Status::OK();
-}
-
-namespace {
-constexpr char kBitmapMagic[] = "INCDBBM1";
-}  // namespace
-
-Status BitmapIndex::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  BinaryWriter writer(out);
-  writer.WriteString(kBitmapMagic);
-  writer.WriteU8(static_cast<uint8_t>(options_.encoding));
-  writer.WriteU8(static_cast<uint8_t>(options_.missing_strategy));
-  writer.WriteU64(num_rows_);
-  writer.WriteU64(attributes_.size());
-  for (const AttributeBitmaps& ab : attributes_) {
-    writer.WriteU32(ab.cardinality);
-    writer.WriteU8(ab.missing.has_value() ? 1 : 0);
-    if (ab.missing.has_value()) ab.missing->SaveTo(writer);
-    writer.WriteU64(ab.values.size());
-    for (const WahBitVector& bitmap : ab.values) bitmap.SaveTo(writer);
-  }
-  return writer.status();
-}
-
-Result<BitmapIndex> BitmapIndex::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  BinaryReader reader(in);
-  INCDB_ASSIGN_OR_RETURN(std::string magic, reader.ReadString(64));
-  if (magic != kBitmapMagic) {
-    return Status::IOError("'" + path + "' is not an incdb bitmap index");
-  }
-  Options options;
-  INCDB_ASSIGN_OR_RETURN(uint8_t encoding, reader.ReadU8());
-  INCDB_ASSIGN_OR_RETURN(uint8_t strategy, reader.ReadU8());
-  if (encoding > static_cast<uint8_t>(BitmapEncoding::kBitSliced) ||
-      strategy > static_cast<uint8_t>(MissingStrategy::kAllZeros)) {
-    return Status::IOError("'" + path + "': corrupted options");
-  }
-  options.encoding = static_cast<BitmapEncoding>(encoding);
-  options.missing_strategy = static_cast<MissingStrategy>(strategy);
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_attrs, reader.ReadU64());
-  if (num_attrs > (1u << 20)) {
-    return Status::IOError("'" + path + "': implausible attribute count");
-  }
-  std::vector<AttributeBitmaps> attributes;
-  attributes.reserve(num_attrs);
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    AttributeBitmaps ab;
-    INCDB_ASSIGN_OR_RETURN(ab.cardinality, reader.ReadU32());
-    INCDB_ASSIGN_OR_RETURN(uint8_t has_missing, reader.ReadU8());
-    if (has_missing != 0) {
-      INCDB_ASSIGN_OR_RETURN(WahBitVector missing,
-                             WahBitVector::LoadFrom(reader));
-      if (missing.size() != num_rows) {
-        return Status::IOError("'" + path + "': bitmap size mismatch");
-      }
-      ab.missing = std::move(missing);
-      ab.has_missing = true;
-    }
-    INCDB_ASSIGN_OR_RETURN(uint64_t num_bitmaps, reader.ReadU64());
-    if (num_bitmaps !=
-        AxisEncoder::NumBitmaps(options.encoding, ab.cardinality)) {
-      return Status::IOError("'" + path + "': bitmap count mismatch");
-    }
-    ab.values.reserve(num_bitmaps);
-    for (uint64_t j = 0; j < num_bitmaps; ++j) {
-      INCDB_ASSIGN_OR_RETURN(WahBitVector bitmap,
-                             WahBitVector::LoadFrom(reader));
-      if (bitmap.size() != num_rows) {
-        return Status::IOError("'" + path + "': bitmap size mismatch");
-      }
-      ab.values.push_back(std::move(bitmap));
-    }
-    attributes.push_back(std::move(ab));
-  }
-  return BitmapIndex(options, num_rows, std::move(attributes));
 }
 
 Result<BitmapIndex> BitmapIndex::FromParts(

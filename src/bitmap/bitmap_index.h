@@ -97,13 +97,6 @@ class BitmapIndex : public IncompleteIndex {
   /// the extended data.
   Status AppendRow(const std::vector<Value>& row) override;
 
-  /// Persists the index to a file (the paper's "requisite index files on
-  /// disk"). Format: magic INCDBBM1 + options + per-attribute WAH payloads.
-  Status Save(const std::string& path) const;
-
-  /// Loads an index written by Save.
-  static Result<BitmapIndex> Load(const std::string& path);
-
   /// Evaluates one interval (one search-key term) to a compressed result —
   /// the paper's Fig. 2 / Fig. 3 logic. Exposed for tests and analysis.
   Result<WahBitVector> EvaluateInterval(size_t attr, Interval interval,

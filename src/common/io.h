@@ -11,9 +11,8 @@
 
 namespace incdb {
 
-/// Little-endian binary writer over a std::ostream. Used by the index
-/// Save() paths; the paper's index-size metric is "the size of the
-/// requisite index files on disk", which these produce.
+/// Little-endian binary writer over a std::ostream. Used by the store's
+/// catalog (storage/writer.cc) and the MOSAIC baseline it embeds.
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::ostream& out) : out_(out) {}

@@ -20,8 +20,8 @@ namespace {
 // inputs (~0.8 literal fraction) win on the dense path at every level and
 // k; clustered 1% inputs (~0.03) win on the sparse strategies; the
 // break-even sits near the cost ratio of a scatter store vs its share of a
-// kernel pass, ~0.1-0.2 on both tested word widths. Overridable via
-// INCDB_DENSE_THRESHOLD (<=0 forces dense, >1 disables the dense path).
+// kernel pass, ~0.1-0.2. Overridable via INCDB_DENSE_THRESHOLD (<=0
+// forces dense, >1 disables the dense path).
 constexpr double kDefaultDenseBlockThreshold = 0.15;
 
 std::atomic<double>& ThresholdStorage() {
@@ -51,11 +51,17 @@ double SetDenseBlockThresholdForTesting(double threshold) {
 
 namespace {
 
-template <typename WordT>
-using Traits = wah_internal::WahTraits<WordT>;
+using wah_internal::FillBit;
+using wah_internal::FillGroups;
+using wah_internal::IsFill;
+using wah_internal::kFillFlag;
+using wah_internal::kFullLiteral;
+using wah_internal::kGroupBits;
+using wah_internal::kMaxFillGroups;
+using wah_internal::MakeFill;
+using Operand = WahBitVector::Operand;
 
-template <typename WordT>
-WordT ApplyOp(WordT a, WordT b, int op) {
+uint32_t ApplyOp(uint32_t a, uint32_t b, int op) {
   switch (op) {
     case 0:
       return a & b;
@@ -64,16 +70,13 @@ WordT ApplyOp(WordT a, WordT b, int op) {
     case 2:
       return a ^ b;
     default:
-      return a & (~b & Traits<WordT>::kFullLiteral);
+      return a & (~b & kFullLiteral);
   }
 }
 
 // Per-operand view of the partial trailing group.
-template <typename WordT>
-WordT ActiveView(const typename BasicWahBitVector<WordT>::Operand& op,
-                 WordT active_word, WordT mask) {
-  const WordT v = op.negate ? static_cast<WordT>(~active_word) : active_word;
-  return v & mask;
+uint32_t ActiveView(const Operand& op, uint32_t active_word, uint32_t mask) {
+  return (op.negate ? ~active_word : active_word) & mask;
 }
 
 // ---------------------------------------------------------------------------
@@ -93,40 +96,29 @@ WordT ActiveView(const typename BasicWahBitVector<WordT>::Operand& op,
 //  * AND: the classic lockstep run merge with absorbing-fill leaps, which
 //    skips whole 0-fill runs without touching the other operands' payloads.
 //
-// All decoded buffers hold one group per WordT with the fill-flag MSB zero,
+// All decoded buffers hold one group per word with the fill-flag MSB zero,
 // so combines can never produce a word the re-encode scan would mistake for
 // a fill code word.
 // ---------------------------------------------------------------------------
 
-template <typename WordT>
-constexpr uint64_t kWindowGroups =
-    uint64_t{65536} / static_cast<uint64_t>(Traits<WordT>::kGroupBits);
+constexpr uint64_t kWindowGroups = 65536 / kGroupBits;
 
 // The kFullLiteral pattern replicated across a 64-bit lane, for masked
 // OR-NOT combines (keeps complemented group words' fill flags clear).
-template <typename WordT>
-constexpr uint64_t ReplicatedFullLiteral() {
-  if constexpr (sizeof(WordT) == 4) {
-    return (uint64_t{Traits<WordT>::kFullLiteral} << 32) |
-           uint64_t{Traits<WordT>::kFullLiteral};
-  } else {
-    return uint64_t{Traits<WordT>::kFullLiteral};
-  }
-}
+constexpr uint64_t kReplicatedFullLiteral =
+    (uint64_t{kFullLiteral} << 32) | kFullLiteral;
 
 // Decodes the next `w` groups of one operand into `buf`, one group word per
 // slot (fill-flag MSB always zero). Consecutive literal code words are
 // adjacent in the compressed stream, so literal runs bulk-copy. Returns the
 // number of literal groups decoded (feeds the density estimate).
-template <typename WordT>
-uint64_t DecodeWindow(BasicWahRunIterator<WordT>& it, WordT* buf, uint64_t w) {
+uint64_t DecodeWindow(WahRunIterator& it, uint32_t* buf, uint64_t w) {
   uint64_t pos = 0;
   uint64_t literals = 0;
   while (pos < w) {
     if (it.is_fill()) {
       const uint64_t n = std::min(it.groups_left(), w - pos);
-      std::fill_n(buf + pos,
-                  n, it.fill_bit() ? Traits<WordT>::kFullLiteral : WordT{0});
+      std::fill_n(buf + pos, n, it.fill_bit() ? kFullLiteral : uint32_t{0});
       it.Consume(n);
       pos += n;
     } else {
@@ -154,11 +146,9 @@ struct CombineResult {
 // folded inline — an indirect kernel call per 1-2-word run would cost more
 // than the combine itself. For AND ops the result's `any`/`covered` pair
 // answers "is the accumulator now provably all-zero?" without any rescan.
-template <typename WordT>
-CombineResult CombineWindow(BasicWahRunIterator<WordT>& it, WordT* acc,
-                            uint64_t w, bool is_or, bool negate,
+CombineResult CombineWindow(WahRunIterator& it, uint32_t* acc, uint64_t w,
+                            bool is_or, bool negate,
                             const simd::Kernels& kernels) {
-  const WordT kFull = Traits<WordT>::kFullLiteral;
   constexpr uint64_t kInlineRun = 16;
   CombineResult result;
   uint64_t pos = 0;
@@ -167,10 +157,10 @@ CombineResult CombineWindow(BasicWahRunIterator<WordT>& it, WordT* acc,
       const uint64_t n = std::min(it.groups_left(), w - pos);
       const bool bit = it.fill_bit() != negate;
       if (is_or) {
-        if (bit) std::fill_n(acc + pos, n, kFull);
+        if (bit) std::fill_n(acc + pos, n, kFullLiteral);
       } else {
         if (!bit) {
-          std::fill_n(acc + pos, n, WordT{0});
+          std::fill_n(acc + pos, n, uint32_t{0});
         } else {
           result.covered = false;  // acc unchanged here, contents unknown
         }
@@ -179,14 +169,14 @@ CombineResult CombineWindow(BasicWahRunIterator<WordT>& it, WordT* acc,
       pos += n;
     } else {
       uint64_t n = 0;
-      const WordT* run = it.ViewLiteralRun(w - pos, &n);
-      WordT* dst = acc + pos;
+      const uint32_t* run = it.ViewLiteralRun(w - pos, &n);
+      uint32_t* dst = acc + pos;
       if (n < kInlineRun) {
         uint64_t any = 0;
         if (is_or) {
           if (negate) {
             for (uint64_t i = 0; i < n; ++i) {
-              dst[i] = static_cast<WordT>(dst[i] | (~run[i] & kFull));
+              dst[i] |= ~run[i] & kFullLiteral;
             }
           } else {
             for (uint64_t i = 0; i < n; ++i) dst[i] |= run[i];
@@ -194,7 +184,7 @@ CombineResult CombineWindow(BasicWahRunIterator<WordT>& it, WordT* acc,
         } else {
           if (negate) {
             for (uint64_t i = 0; i < n; ++i) {
-              dst[i] = static_cast<WordT>(dst[i] & ~run[i]);
+              dst[i] &= ~run[i];
               any |= dst[i];
             }
           } else {
@@ -206,10 +196,10 @@ CombineResult CombineWindow(BasicWahRunIterator<WordT>& it, WordT* acc,
         }
         result.any |= any;
       } else {
-        const size_t bytes = static_cast<size_t>(n) * sizeof(WordT);
+        const size_t bytes = static_cast<size_t>(n) * sizeof(uint32_t);
         if (is_or) {
           if (negate) {
-            kernels.ornot_mask_into(dst, run, ReplicatedFullLiteral<WordT>(),
+            kernels.ornot_mask_into(dst, run, kReplicatedFullLiteral,
                                     bytes);
           } else {
             kernels.or_into(dst, run, bytes);
@@ -236,11 +226,9 @@ CombineResult CombineWindow(BasicWahRunIterator<WordT>& it, WordT* acc,
 // materialized in complemented form. Returns the literal density realized
 // over the operand windows it actually walked (the next window's
 // classification estimate).
-template <typename WordT>
-double DenseWindow(
-    std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
-    std::vector<BasicWahRunIterator<WordT>>& its, bool is_or, uint64_t w,
-    WordT* acc) {
+double DenseWindow(std::span<const Operand> ops,
+                   std::vector<WahRunIterator>& its, bool is_or, uint64_t w,
+                   uint32_t* acc) {
   const simd::Kernels& kernels = simd::ActiveKernels();
   uint64_t literals = 0;
   uint64_t examined = 0;
@@ -255,7 +243,7 @@ double DenseWindow(
     literals += DecodeWindow(its[lead], acc, w);
     examined += w;
   } else {
-    std::fill_n(acc, w, is_or ? WordT{0} : Traits<WordT>::kFullLiteral);
+    std::fill_n(acc, w, is_or ? uint32_t{0} : kFullLiteral);
   }
   // AND early-exit: the CombineResult of each operand proves (or fails to
   // prove) the accumulator empty as a byproduct of the combine, so the
@@ -282,26 +270,24 @@ double DenseWindow(
 // accumulator. One store per literal group, one std::fill_n per
 // effective 1-fill; 0-runs cost nothing. Returns the realized literal
 // density of the window (the next window's classification estimate).
-template <typename WordT>
-double ScatterOrWindow(
-    std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
-    std::vector<BasicWahRunIterator<WordT>>& its, uint64_t w, WordT* acc) {
-  const WordT kFull = Traits<WordT>::kFullLiteral;
-  std::fill_n(acc, w, WordT{0});
+double ScatterOrWindow(std::span<const Operand> ops,
+                       std::vector<WahRunIterator>& its, uint64_t w,
+                       uint32_t* acc) {
+  std::fill_n(acc, w, uint32_t{0});
   uint64_t literals = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
-    BasicWahRunIterator<WordT>& it = its[i];
+    WahRunIterator& it = its[i];
     const bool negate = ops[i].negate;
     uint64_t pos = 0;
     while (pos < w) {
       if (it.is_fill()) {
         const uint64_t n = std::min(it.groups_left(), w - pos);
-        if (it.fill_bit() != negate) std::fill_n(acc + pos, n, kFull);
+        if (it.fill_bit() != negate) std::fill_n(acc + pos, n, kFullLiteral);
         it.Consume(n);
         pos += n;
       } else {
-        const WordT lit = it.LiteralView();
-        acc[pos] |= negate ? static_cast<WordT>(~lit & kFull) : lit;
+        const uint32_t lit = it.LiteralView();
+        acc[pos] |= negate ? ~lit & kFullLiteral : lit;
         ++literals;
         ++pos;
         it.Consume(1);
@@ -320,23 +306,21 @@ double ScatterOrWindow(
 // emitted; `*literal_groups` accumulates the operand literal words it
 // stepped through (groups leapt over inside absorbing fills count as fills,
 // biasing the density estimate low — exactly the windows this path wins on).
-template <typename WordT, typename RunFn>
-uint64_t SparseAndStretch(
-    std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
-    std::vector<BasicWahRunIterator<WordT>>& its, uint64_t limit,
-    RunFn&& emit_run, uint64_t* literal_groups) {
-  const WordT kFull = Traits<WordT>::kFullLiteral;
+template <typename RunFn>
+uint64_t SparseAndStretch(std::span<const Operand> ops,
+                          std::vector<WahRunIterator>& its, uint64_t limit,
+                          RunFn&& emit_run, uint64_t* literal_groups) {
   uint64_t emitted = 0;
   uint64_t literals = 0;  // local: a through-pointer count would alias
   while (emitted < limit && !its[0].done()) {
-    WordT acc = kFull;
+    uint32_t acc = kFullLiteral;
     uint64_t n_min = UINT64_MAX;
     uint64_t absorb = 0;
     bool all_fill = true;
     for (size_t i = 0; i < its.size(); ++i) {
-      const BasicWahRunIterator<WordT>& it = its[i];
-      WordT view = it.LiteralView();
-      if (ops[i].negate) view = ~view & kFull;
+      const WahRunIterator& it = its[i];
+      uint32_t view = it.LiteralView();
+      if (ops[i].negate) view = ~view & kFullLiteral;
       if (it.is_fill()) {
         if (view == 0) absorb = std::max(absorb, it.groups_left());
       } else {
@@ -344,7 +328,7 @@ uint64_t SparseAndStretch(
         ++literals;
       }
       if (it.groups_left() < n_min) n_min = it.groups_left();
-      acc = static_cast<WordT>(acc & view);
+      acc &= view;
       if (acc == 0) break;  // remaining operands cannot change it
     }
     uint64_t n;
@@ -375,19 +359,19 @@ uint64_t SparseAndStretch(
 // homogeneous inputs classification cost vanishes; on regime changes it
 // mispredicts at most one window, which only costs a suboptimal strategy
 // there, never a wrong answer.
-template <typename WordT, typename RunFn, typename DenseFn>
-void FuseHybrid(std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
-                bool is_or, uint64_t groups_total, RunFn&& emit_run,
-                DenseFn&& emit_dense, WahOpStats* op_stats) {
+template <typename RunFn, typename DenseFn>
+void FuseHybrid(std::span<const Operand> ops, bool is_or,
+                uint64_t groups_total, RunFn&& emit_run, DenseFn&& emit_dense,
+                WahOpStats* op_stats) {
   if (groups_total == 0) return;
-  std::vector<BasicWahRunIterator<WordT>> its;
+  std::vector<WahRunIterator> its;
   its.reserve(ops.size());
   for (const auto& op : ops) its.emplace_back(*op.vec);
   const double threshold = wah_internal::DenseBlockThreshold();
   const bool dense_enabled = threshold <= 1.0;
   const bool force_dense = threshold <= 0.0;
-  const uint64_t window = kWindowGroups<WordT>;
-  std::vector<WordT> acc(std::min<uint64_t>(window, groups_total));
+  const uint64_t window = kWindowGroups;
+  std::vector<uint32_t> acc(std::min<uint64_t>(window, groups_total));
   uint64_t done = 0;
   double est_density = 0.0;
   if (dense_enabled && !force_dense) {
@@ -405,7 +389,7 @@ void FuseHybrid(std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
       dense = est_density >= threshold;
     }
     if (dense) {
-      est_density = DenseWindow<WordT>(ops, its, is_or, w, acc.data());
+      est_density = DenseWindow(ops, its, is_or, w, acc.data());
       emit_dense(acc.data(), w);
       if (op_stats != nullptr) {
         op_stats->dense_windows += 1;
@@ -413,13 +397,12 @@ void FuseHybrid(std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
       }
       done += w;
     } else if (is_or) {
-      est_density = ScatterOrWindow<WordT>(ops, its, w, acc.data());
+      est_density = ScatterOrWindow(ops, its, w, acc.data());
       emit_dense(acc.data(), w);
       done += w;
     } else {
       uint64_t literals = 0;
-      const uint64_t n =
-          SparseAndStretch<WordT>(ops, its, w, emit_run, &literals);
+      const uint64_t n = SparseAndStretch(ops, its, w, emit_run, &literals);
       est_density = static_cast<double>(literals) /
                     static_cast<double>(n * ops.size());
       done += n;
@@ -434,8 +417,7 @@ void FuseHybrid(std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
 
 // ORs the low `width` bits of `group` into `out` at bit `pos` — one or two
 // 64-bit words.
-template <typename WordT>
-void PackBits(uint64_t* out, uint64_t pos, WordT group, int width) {
+void PackBits(uint64_t* out, uint64_t pos, uint32_t group, int width) {
   if (width == 0) return;
   const uint64_t bits = static_cast<uint64_t>(group);
   const int offset = static_cast<int>(pos & 63);
@@ -466,33 +448,29 @@ BitVector VerbatimFromWords(uint64_t size, std::vector<uint64_t> words) {
 }
 
 // ---------------------------------------------------------------------------
-// The dense term-plan executor (BasicWahTermPlan::DenseCount/Materialize).
+// The dense term-plan executor (WahTermPlan::DenseCount/Materialize).
 //
 // Where FuseHybrid fuses one k-way AND or OR and re-compresses its result,
 // this pass evaluates a whole lowered query — an AND of clauses, each an OR
 // of products, each an AND of optionally complemented operands — window by
 // window, in the same kWindowGroups-group windows and with the same
 // DecodeWindow/CombineWindow primitives as FuseHybrid's dense path. Three
-// window buffers (accumulator, clause, product: 3 x 8 KiB for 32-bit words)
-// stay in L1. An operand several factors reference is decoded once per
-// window into its own buffer; every other operand streams straight from its
-// code words into the kernels. The result window goes to a sink (popcount
+// window buffers (accumulator, clause, product: 3 x 8 KiB) stay in L1. An
+// operand several factors reference is decoded once per window into its own
+// buffer; every other operand streams straight from its code words into the
+// kernels. The result window goes to a sink (popcount
 // or verbatim repack) and is never re-encoded.
 // ---------------------------------------------------------------------------
 
-template <typename WordT>
 class DensePlanPass {
-  using Operand = typename BasicWahBitVector<WordT>::Operand;
-  using Span = typename BasicWahTermPlan<WordT>::Span;
-  static constexpr WordT kFull = Traits<WordT>::kFullLiteral;
-  static constexpr uint64_t kGroupBits = Traits<WordT>::kGroupBits;
+  using Span = WahTermPlan::Span;
 
  public:
-  explicit DensePlanPass(const BasicWahTermPlan<WordT>& plan)
+  explicit DensePlanPass(const WahTermPlan& plan)
       : plan_(plan),
         kernels_(simd::ActiveKernels()),
         groups_(plan.num_bits / kGroupBits),
-        window_(std::min(kWindowGroups<WordT>, groups_)) {
+        window_(std::min(kWindowGroups, groups_)) {
     source_of_.reserve(plan.factors.size());
     std::vector<size_t> uses;
     for (const Operand& op : plan.factors) {
@@ -537,19 +515,20 @@ class DensePlanPass {
   }
 
   // The plan evaluated over the operands' partial trailing groups.
-  WordT ActiveResult() const {
+  uint32_t ActiveResult() const {
     const int active_bits =
         static_cast<int>(plan_.num_bits - groups_ * kGroupBits);
-    const WordT mask = static_cast<WordT>(bitutil::LowBitsMask(active_bits));
-    WordT acc = mask;
+    const uint32_t mask =
+        static_cast<uint32_t>(bitutil::LowBitsMask(active_bits));
+    uint32_t acc = mask;
     for (const Span& clause : plan_.clauses) {
-      WordT any = 0;
+      uint32_t any = 0;
       for (size_t p = clause.begin; p < clause.end; ++p) {
-        WordT all = mask;
+        uint32_t all = mask;
         for (size_t f = plan_.products[p].begin; f < plan_.products[p].end;
              ++f) {
           const Operand& op = plan_.factors[f];
-          all &= ActiveView<WordT>(op, op.vec->active_word(), mask);
+          all &= ActiveView(op, op.vec->active_word(), mask);
         }
         any |= all;
       }
@@ -561,9 +540,9 @@ class DensePlanPass {
  private:
   // acc = AND of every clause.
   void EvalWindow(uint64_t w) {
-    WordT* acc = acc_.data();
+    uint32_t* acc = acc_.data();
     if (plan_.clauses.empty()) {
-      std::fill_n(acc, w, kFull);
+      std::fill_n(acc, w, kFullLiteral);
       return;
     }
     EvalClause(plan_.clauses[0], acc, w);
@@ -577,15 +556,15 @@ class DensePlanPass {
         }
       } else {
         EvalClause(clause, clause_.data(), w);
-        kernels_.and_into(acc, clause_.data(), w * sizeof(WordT));
+        kernels_.and_into(acc, clause_.data(), w * sizeof(uint32_t));
       }
     }
   }
 
   // dst = OR of the clause's products.
-  void EvalClause(const Span& clause, WordT* dst, uint64_t w) {
+  void EvalClause(const Span& clause, uint32_t* dst, uint64_t w) {
     if (clause.size() == 0) {
-      std::fill_n(dst, w, WordT{0});
+      std::fill_n(dst, w, uint32_t{0});
       return;
     }
     EvalProduct(plan_.products[clause.begin], dst, w);
@@ -595,13 +574,13 @@ class DensePlanPass {
         Combine(product.begin, dst, w, /*is_or=*/true);
       } else {
         EvalProduct(product, product_.data(), w);
-        kernels_.or_into(dst, product_.data(), w * sizeof(WordT));
+        kernels_.or_into(dst, product_.data(), w * sizeof(uint32_t));
       }
     }
   }
 
   // dst = AND of the product's factors, led by its first plain operand.
-  void EvalProduct(const Span& product, WordT* dst, uint64_t w) {
+  void EvalProduct(const Span& product, uint32_t* dst, uint64_t w) {
     size_t lead = product.end;
     for (size_t f = product.begin; f < product.end; ++f) {
       if (!plan_.factors[f].negate) {
@@ -610,7 +589,7 @@ class DensePlanPass {
       }
     }
     if (lead == product.end) {
-      std::fill_n(dst, w, kFull);
+      std::fill_n(dst, w, kFullLiteral);
     } else if (const size_t s = source_of_[lead]; !shared_[s].empty()) {
       std::copy_n(shared_[s].data(), w, dst);
     } else {
@@ -622,19 +601,18 @@ class DensePlanPass {
   }
 
   // dst = dst AND/OR factor f (complemented when negated).
-  void Combine(size_t f, WordT* dst, uint64_t w, bool is_or) {
+  void Combine(size_t f, uint32_t* dst, uint64_t w, bool is_or) {
     const bool negate = plan_.factors[f].negate;
     const size_t s = source_of_[f];
     if (shared_[s].empty()) {
       CombineWindow(its_[s], dst, w, is_or, negate, kernels_);
       return;
     }
-    const WordT* src = shared_[s].data();
-    const size_t bytes = static_cast<size_t>(w) * sizeof(WordT);
+    const uint32_t* src = shared_[s].data();
+    const size_t bytes = static_cast<size_t>(w) * sizeof(uint32_t);
     if (is_or) {
       if (negate) {
-        kernels_.ornot_mask_into(dst, src, ReplicatedFullLiteral<WordT>(),
-                                 bytes);
+        kernels_.ornot_mask_into(dst, src, kReplicatedFullLiteral, bytes);
       } else {
         kernels_.or_into(dst, src, bytes);
       }
@@ -645,40 +623,26 @@ class DensePlanPass {
     }
   }
 
-  const BasicWahTermPlan<WordT>& plan_;
+  const WahTermPlan& plan_;
   const simd::Kernels& kernels_;
   const uint64_t groups_;
   const uint64_t window_;
-  std::vector<const BasicWahBitVector<WordT>*> vecs_;  // distinct operands
-  std::vector<size_t> source_of_;                      // factor -> vecs_ slot
-  std::vector<BasicWahRunIterator<WordT>> its_;        // one per vecs_ slot
-  std::vector<std::vector<WordT>> shared_;  // decoded window, shared slots
-  std::vector<WordT> acc_;
-  std::vector<WordT> clause_;
-  std::vector<WordT> product_;
+  std::vector<const WahBitVector*> vecs_;      // distinct operands
+  std::vector<size_t> source_of_;              // factor -> vecs_ slot
+  std::vector<WahRunIterator> its_;            // one per vecs_ slot
+  std::vector<std::vector<uint32_t>> shared_;  // decoded window, shared slots
+  std::vector<uint32_t> acc_;
+  std::vector<uint32_t> clause_;
+  std::vector<uint32_t> product_;
 };
-
-// Word-width-dispatched scalar I/O for serialization.
-void WriteWord(BinaryWriter& writer, uint32_t word) { writer.WriteU32(word); }
-void WriteWord(BinaryWriter& writer, uint64_t word) { writer.WriteU64(word); }
-Status ReadWord(BinaryReader& reader, uint32_t* word) {
-  INCDB_ASSIGN_OR_RETURN(*word, reader.ReadU32());
-  return Status::OK();
-}
-Status ReadWord(BinaryReader& reader, uint64_t* word) {
-  INCDB_ASSIGN_OR_RETURN(*word, reader.ReadU64());
-  return Status::OK();
-}
 
 }  // namespace
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Compress(
-    const BitVector& bits) {
-  BasicWahBitVector out;
+WahBitVector WahBitVector::Compress(const BitVector& bits) {
+  WahBitVector out;
   const uint64_t n = bits.size();
   const std::vector<uint64_t>& words = bits.words();
-  // Extract consecutive (W-1)-bit groups from the 64-bit word array.
+  // Extract consecutive 31-bit groups from the 64-bit word array.
   const uint64_t full_groups = n / kGroupBits;
   for (uint64_t g = 0; g < full_groups; ++g) {
     const uint64_t bit_pos = g * kGroupBits;
@@ -688,11 +652,11 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Compress(
     if (offset + kGroupBits > 64 && word_idx + 1 < words.size()) {
       chunk |= words[word_idx + 1] << (64 - offset);
     }
-    const WordT literal =
-        static_cast<WordT>(chunk & bitutil::LowBitsMask(kGroupBits));
+    const uint32_t literal =
+        static_cast<uint32_t>(chunk & bitutil::LowBitsMask(kGroupBits));
     if (literal == 0) {
       out.EmitFill(false, 1);
-    } else if (literal == Traits<WordT>::kFullLiteral) {
+    } else if (literal == kFullLiteral) {
       out.EmitFill(true, 1);
     } else {
       out.EmitLiteral(literal);
@@ -706,25 +670,22 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Compress(
   return out;
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Fill(uint64_t size,
+WahBitVector WahBitVector::Fill(uint64_t size,
                                                         bool bit) {
-  BasicWahBitVector out;
+  WahBitVector out;
   out.AppendRun(bit, size);
   return out;
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::AppendBit(bool bit) {
+void WahBitVector::AppendBit(bool bit) {
   Detach();
-  if (bit) active_word_ |= WordT{1} << active_bits_;
+  if (bit) active_word_ |= uint32_t{1} << active_bits_;
   ++active_bits_;
   ++size_;
   if (active_bits_ == kGroupBits) FlushActiveGroup();
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::AppendRun(bool bit, uint64_t count) {
+void WahBitVector::AppendRun(bool bit, uint64_t count) {
   Detach();
   // Align to a group boundary first.
   while (count > 0 && active_bits_ != 0) {
@@ -743,12 +704,11 @@ void BasicWahBitVector<WordT>::AppendRun(bool bit, uint64_t count) {
   }
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::FlushActiveGroup() {
+void WahBitVector::FlushActiveGroup() {
   INCDB_DCHECK(active_bits_ == kGroupBits);
   if (active_word_ == 0) {
     EmitFill(false, 1);
-  } else if (active_word_ == Traits<WordT>::kFullLiteral) {
+  } else if (active_word_ == kFullLiteral) {
     EmitFill(true, 1);
   } else {
     EmitLiteral(active_word_);
@@ -757,42 +717,36 @@ void BasicWahBitVector<WordT>::FlushActiveGroup() {
   active_bits_ = 0;
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::EmitFill(bool bit, uint64_t groups) {
+void WahBitVector::EmitFill(bool bit, uint64_t groups) {
   INCDB_DCHECK(!borrowed());
   while (groups > 0) {
-    if (!words_.empty() && Traits<WordT>::IsFill(words_.back()) &&
-        Traits<WordT>::FillBit(words_.back()) == bit) {
-      const uint64_t have = Traits<WordT>::FillGroups(words_.back());
-      const uint64_t take =
-          std::min(groups, Traits<WordT>::kMaxFillGroups - have);
+    if (!words_.empty() && IsFill(words_.back()) &&
+        FillBit(words_.back()) == bit) {
+      const uint64_t have = FillGroups(words_.back());
+      const uint64_t take = std::min(groups, kMaxFillGroups - have);
       if (take > 0) {
-        words_.back() = Traits<WordT>::MakeFill(bit, have + take);
+        words_.back() = MakeFill(bit, have + take);
         groups -= take;
         continue;
       }
     }
-    const uint64_t take = std::min(groups, Traits<WordT>::kMaxFillGroups);
-    words_.push_back(Traits<WordT>::MakeFill(bit, take));
+    const uint64_t take = std::min(groups, kMaxFillGroups);
+    words_.push_back(MakeFill(bit, take));
     groups -= take;
   }
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::EmitLiteral(WordT literal) {
+void WahBitVector::EmitLiteral(uint32_t literal) {
   INCDB_DCHECK(!borrowed());
-  INCDB_DCHECK((literal & Traits<WordT>::kFillFlag) == 0);
+  INCDB_DCHECK((literal & kFillFlag) == 0);
   words_.push_back(literal);
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::Count() const {
+uint64_t WahBitVector::Count() const {
   uint64_t count = 0;
-  for (WordT w : code_words()) {
-    if (Traits<WordT>::IsFill(w)) {
-      if (Traits<WordT>::FillBit(w)) {
-        count += Traits<WordT>::FillGroups(w) * kGroupBits;
-      }
+  for (uint32_t w : code_words()) {
+    if (IsFill(w)) {
+      if (FillBit(w)) count += FillGroups(w) * kGroupBits;
     } else {
       count += static_cast<uint64_t>(std::popcount(w));
     }
@@ -801,18 +755,17 @@ uint64_t BasicWahBitVector<WordT>::Count() const {
   return count;
 }
 
-template <typename WordT>
-BitVector BasicWahBitVector<WordT>::Decompress() const {
+BitVector WahBitVector::Decompress() const {
   // Word-level expansion: each literal group is one shift-or into the
   // verbatim words, each 1-fill a word-range store, 0-fills cost nothing.
   std::vector<uint64_t> words(bitutil::CeilDiv(size_, 64));
   const uint64_t group_bits = size_ - static_cast<uint64_t>(active_bits_);
   uint64_t bit_pos = 0;
-  for (WordT w : code_words()) {
-    if (Traits<WordT>::IsFill(w)) {
-      const uint64_t span = Traits<WordT>::FillGroups(w) * kGroupBits;
+  for (uint32_t w : code_words()) {
+    if (IsFill(w)) {
+      const uint64_t span = FillGroups(w) * kGroupBits;
       INCDB_CHECK(span <= group_bits - bit_pos);
-      if (Traits<WordT>::FillBit(w)) {
+      if (FillBit(w)) {
         SetBitRange(words.data(), bit_pos, bit_pos + span);
       }
       bit_pos += span;
@@ -826,16 +779,14 @@ BitVector BasicWahBitVector<WordT>::Decompress() const {
   return VerbatimFromWords(size_, std::move(words));
 }
 
-template <typename WordT>
-bool BasicWahBitVector<WordT>::Get(uint64_t index) const {
+bool WahBitVector::Get(uint64_t index) const {
   INCDB_CHECK(index < size_);
   uint64_t bit_pos = 0;
-  for (WordT w : code_words()) {
-    const uint64_t span = Traits<WordT>::IsFill(w)
-                              ? Traits<WordT>::FillGroups(w) * kGroupBits
-                              : static_cast<uint64_t>(kGroupBits);
+  for (uint32_t w : code_words()) {
+    const uint64_t span =
+        IsFill(w) ? FillGroups(w) * kGroupBits : uint64_t{kGroupBits};
     if (index < bit_pos + span) {
-      if (Traits<WordT>::IsFill(w)) return Traits<WordT>::FillBit(w);
+      if (IsFill(w)) return FillBit(w);
       return (w >> (index - bit_pos)) & 1;
     }
     bit_pos += span;
@@ -843,65 +794,54 @@ bool BasicWahBitVector<WordT>::Get(uint64_t index) const {
   return (active_word_ >> (index - bit_pos)) & 1;
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::SizeInBytes() const {
-  return (code_words().size() + (active_bits_ > 0 ? 1 : 0)) * sizeof(WordT);
+uint64_t WahBitVector::SizeInBytes() const {
+  return (code_words().size() + (active_bits_ > 0 ? 1 : 0)) * sizeof(uint32_t);
 }
 
-template <typename WordT>
-double BasicWahBitVector<WordT>::CompressionRatio() const {
+double WahBitVector::CompressionRatio() const {
   if (size_ == 0) return 0.0;
   const double verbatim_bytes = static_cast<double>(size_) / 8.0;
   return static_cast<double>(SizeInBytes()) / verbatim_bytes;
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::And(
-    const BasicWahBitVector& other) const {
+WahBitVector WahBitVector::And(const WahBitVector& other) const {
   return BinaryOp(other, OpKind::kAnd);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Or(
-    const BasicWahBitVector& other) const {
+WahBitVector WahBitVector::Or(const WahBitVector& other) const {
   return BinaryOp(other, OpKind::kOr);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Xor(
-    const BasicWahBitVector& other) const {
+WahBitVector WahBitVector::Xor(const WahBitVector& other) const {
   return BinaryOp(other, OpKind::kXor);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::AndNot(
-    const BasicWahBitVector& other) const {
+WahBitVector WahBitVector::AndNot(const WahBitVector& other) const {
   return BinaryOp(other, OpKind::kAndNot);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::BinaryOp(
-    const BasicWahBitVector& other, OpKind op) const {
+WahBitVector WahBitVector::BinaryOp(const WahBitVector& other,
+                                    OpKind op) const {
   INCDB_CHECK(size_ == other.size_);
   const int op_code = static_cast<int>(op);
-  BasicWahBitVector out;
-  BasicWahRunIterator<WordT> a(*this);
-  BasicWahRunIterator<WordT> b(other);
+  WahBitVector out;
+  WahRunIterator a(*this);
+  WahRunIterator b(other);
   uint64_t groups_emitted = 0;
   while (!a.done() && !b.done()) {
     if (a.is_fill() && b.is_fill()) {
       const uint64_t n = std::min(a.groups_left(), b.groups_left());
-      const WordT r = ApplyOp(a.LiteralView(), b.LiteralView(), op_code);
-      out.EmitFill(r == Traits<WordT>::kFullLiteral, n);
+      const uint32_t r = ApplyOp(a.LiteralView(), b.LiteralView(), op_code);
+      out.EmitFill(r == kFullLiteral, n);
       groups_emitted += n;
       a.Consume(n);
       b.Consume(n);
     } else {
       // At least one side is a literal; process one group.
-      const WordT r = ApplyOp(a.LiteralView(), b.LiteralView(), op_code);
+      const uint32_t r = ApplyOp(a.LiteralView(), b.LiteralView(), op_code);
       if (r == 0) {
         out.EmitFill(false, 1);
-      } else if (r == Traits<WordT>::kFullLiteral) {
+      } else if (r == kFullLiteral) {
         out.EmitFill(true, 1);
       } else {
         out.EmitLiteral(r);
@@ -916,7 +856,8 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::BinaryOp(
   // Partial trailing group: sizes are equal, so active_bits_ match.
   INCDB_CHECK(active_bits_ == other.active_bits_);
   if (active_bits_ > 0) {
-    const WordT mask = static_cast<WordT>(bitutil::LowBitsMask(active_bits_));
+    const uint32_t mask =
+        static_cast<uint32_t>(bitutil::LowBitsMask(active_bits_));
     out.active_word_ =
         ApplyOp(active_word_, other.active_word_, op_code) & mask;
     out.active_bits_ = active_bits_;
@@ -926,11 +867,10 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::BinaryOp(
   return out;
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FuseToVector(
-    std::span<const Operand> operands, bool is_or, WahOpStats* op_stats) {
+WahBitVector WahBitVector::FuseToVector(std::span<const Operand> operands,
+                                        bool is_or, WahOpStats* op_stats) {
   INCDB_CHECK(!operands.empty());
-  const BasicWahBitVector& first = *operands[0].vec;
+  const WahBitVector& first = *operands[0].vec;
   for (const Operand& op : operands) {
     INCDB_CHECK(op.vec != nullptr && op.vec->size_ == first.size_);
   }
@@ -939,13 +879,13 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FuseToVector(
     // The tight two-way merge; the k-way machinery has nothing to add.
     return is_or ? first.Or(*operands[1].vec) : first.And(*operands[1].vec);
   }
-  BasicWahBitVector out;
+  WahBitVector out;
   const uint64_t groups =
       (first.size_ - first.active_bits_) / static_cast<uint64_t>(kGroupBits);
-  auto emit_run = [&out](WordT view, uint64_t n) {
+  auto emit_run = [&out](uint32_t view, uint64_t n) {
     if (view == 0) {
       out.EmitFill(false, n);
-    } else if (view == Traits<WordT>::kFullLiteral) {
+    } else if (view == kFullLiteral) {
       out.EmitFill(true, n);
     } else {
       INCDB_DCHECK(n == 1);
@@ -955,11 +895,11 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FuseToVector(
   // Re-encode a decoded window: fills for 0 / all-ones stretches, literals
   // otherwise. EmitFill merges across window boundaries, so the output is
   // canonical no matter how the engine partitioned the stream.
-  auto emit_dense = [&out](const WordT* buf, uint64_t w) {
+  auto emit_dense = [&out](const uint32_t* buf, uint64_t w) {
     uint64_t i = 0;
     while (i < w) {
-      const WordT v = buf[i];
-      if (v == 0 || v == Traits<WordT>::kFullLiteral) {
+      const uint32_t v = buf[i];
+      if (v == 0 || v == kFullLiteral) {
         uint64_t j = i + 1;
         while (j < w && buf[j] == v) ++j;
         out.EmitFill(v != 0, j - i);
@@ -970,15 +910,15 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FuseToVector(
       }
     }
   };
-  FuseHybrid<WordT>(operands, is_or, groups, emit_run, emit_dense, op_stats);
+  FuseHybrid(operands, is_or, groups, emit_run, emit_dense, op_stats);
   out.size_ = groups * static_cast<uint64_t>(kGroupBits);
   if (first.active_bits_ > 0) {
-    const WordT mask =
-        static_cast<WordT>(bitutil::LowBitsMask(first.active_bits_));
-    WordT acc = is_or ? WordT{0} : mask;
+    const uint32_t mask =
+        static_cast<uint32_t>(bitutil::LowBitsMask(first.active_bits_));
+    uint32_t acc = is_or ? uint32_t{0} : mask;
     for (const Operand& op : operands) {
-      const WordT v = ActiveView<WordT>(op, op.vec->active_word_, mask);
-      acc = is_or ? static_cast<WordT>(acc | v) : static_cast<WordT>(acc & v);
+      const uint32_t v = ActiveView(op, op.vec->active_word_, mask);
+      acc = is_or ? acc | v : acc & v;
     }
     out.active_word_ = acc;
     out.active_bits_ = first.active_bits_;
@@ -988,32 +928,31 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FuseToVector(
   return out;
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::FuseToCount(
-    std::span<const Operand> operands, bool is_or, WahOpStats* op_stats) {
+uint64_t WahBitVector::FuseToCount(std::span<const Operand> operands,
+                                   bool is_or, WahOpStats* op_stats) {
   INCDB_CHECK(!operands.empty());
-  const BasicWahBitVector& first = *operands[0].vec;
+  const WahBitVector& first = *operands[0].vec;
   for (const Operand& op : operands) {
     INCDB_CHECK(op.vec != nullptr && op.vec->size_ == first.size_);
   }
   const uint64_t groups =
       (first.size_ - first.active_bits_) / static_cast<uint64_t>(kGroupBits);
   uint64_t count = 0;
-  auto emit_run = [&count](WordT view, uint64_t n) {
+  auto emit_run = [&count](uint32_t view, uint64_t n) {
     count += static_cast<uint64_t>(std::popcount(view)) * n;
   };
-  auto emit_dense = [&count](const WordT* buf, uint64_t w) {
+  auto emit_dense = [&count](const uint32_t* buf, uint64_t w) {
     count += simd::ActiveKernels().popcount(
-        buf, static_cast<size_t>(w) * sizeof(WordT));
+        buf, static_cast<size_t>(w) * sizeof(uint32_t));
   };
-  FuseHybrid<WordT>(operands, is_or, groups, emit_run, emit_dense, op_stats);
+  FuseHybrid(operands, is_or, groups, emit_run, emit_dense, op_stats);
   if (first.active_bits_ > 0) {
-    const WordT mask =
-        static_cast<WordT>(bitutil::LowBitsMask(first.active_bits_));
-    WordT acc = is_or ? WordT{0} : mask;
+    const uint32_t mask =
+        static_cast<uint32_t>(bitutil::LowBitsMask(first.active_bits_));
+    uint32_t acc = is_or ? uint32_t{0} : mask;
     for (const Operand& op : operands) {
-      const WordT v = ActiveView<WordT>(op, op.vec->active_word_, mask);
-      acc = is_or ? static_cast<WordT>(acc | v) : static_cast<WordT>(acc & v);
+      const uint32_t v = ActiveView(op, op.vec->active_word_, mask);
+      acc = is_or ? acc | v : acc & v;
     }
     count += static_cast<uint64_t>(std::popcount(acc));
   }
@@ -1022,12 +961,11 @@ uint64_t BasicWahBitVector<WordT>::FuseToCount(
 
 namespace {
 
-template <typename WordT>
-std::vector<typename BasicWahBitVector<WordT>::Operand> PlainOperands(
-    std::span<const BasicWahBitVector<WordT>* const> operands) {
-  std::vector<typename BasicWahBitVector<WordT>::Operand> ops;
+std::vector<Operand> PlainOperands(
+    std::span<const WahBitVector* const> operands) {
+  std::vector<Operand> ops;
   ops.reserve(operands.size());
-  for (const BasicWahBitVector<WordT>* vec : operands) {
+  for (const WahBitVector* vec : operands) {
     ops.push_back({vec, false});
   }
   return ops;
@@ -1035,69 +973,56 @@ std::vector<typename BasicWahBitVector<WordT>::Operand> PlainOperands(
 
 }  // namespace
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::OrMany(
-    std::span<const BasicWahBitVector* const> operands,
-    WahOpStats* op_stats) {
-  const auto ops = PlainOperands<WordT>(operands);
+WahBitVector WahBitVector::OrMany(std::span<const WahBitVector* const> operands,
+                                  WahOpStats* op_stats) {
+  const auto ops = PlainOperands(operands);
   return FuseToVector(ops, /*is_or=*/true, op_stats);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::AndMany(
-    std::span<const BasicWahBitVector* const> operands,
-    WahOpStats* op_stats) {
-  const auto ops = PlainOperands<WordT>(operands);
+WahBitVector WahBitVector::AndMany(
+    std::span<const WahBitVector* const> operands, WahOpStats* op_stats) {
+  const auto ops = PlainOperands(operands);
   return FuseToVector(ops, /*is_or=*/false, op_stats);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::AndMany(
-    std::span<const Operand> operands, WahOpStats* op_stats) {
+WahBitVector WahBitVector::AndMany(std::span<const Operand> operands,
+                                   WahOpStats* op_stats) {
   return FuseToVector(operands, /*is_or=*/false, op_stats);
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::OrManyCount(
-    std::span<const BasicWahBitVector* const> operands,
-    WahOpStats* op_stats) {
-  const auto ops = PlainOperands<WordT>(operands);
+uint64_t WahBitVector::OrManyCount(
+    std::span<const WahBitVector* const> operands, WahOpStats* op_stats) {
+  const auto ops = PlainOperands(operands);
   return FuseToCount(ops, /*is_or=*/true, op_stats);
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::AndManyCount(
-    std::span<const BasicWahBitVector* const> operands,
-    WahOpStats* op_stats) {
-  const auto ops = PlainOperands<WordT>(operands);
+uint64_t WahBitVector::AndManyCount(
+    std::span<const WahBitVector* const> operands, WahOpStats* op_stats) {
+  const auto ops = PlainOperands(operands);
   return FuseToCount(ops, /*is_or=*/false, op_stats);
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::AndManyCount(
-    std::span<const Operand> operands, WahOpStats* op_stats) {
+uint64_t WahBitVector::AndManyCount(std::span<const Operand> operands,
+                                    WahOpStats* op_stats) {
   return FuseToCount(operands, /*is_or=*/false, op_stats);
 }
 
-template <typename WordT>
-uint64_t BasicWahBitVector<WordT>::AndCount(const BasicWahBitVector& a,
-                                            const BasicWahBitVector& b,
-                                            WahOpStats* op_stats) {
+uint64_t WahBitVector::AndCount(const WahBitVector& a, const WahBitVector& b,
+                                WahOpStats* op_stats) {
   const Operand ops[] = {{&a, false}, {&b, false}};
   return FuseToCount(ops, /*is_or=*/false, op_stats);
 }
 
-template <typename WordT>
-BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Not() const {
-  BasicWahBitVector out;
-  for (WordT w : code_words()) {
-    if (Traits<WordT>::IsFill(w)) {
-      out.EmitFill(!Traits<WordT>::FillBit(w), Traits<WordT>::FillGroups(w));
+WahBitVector WahBitVector::Not() const {
+  WahBitVector out;
+  for (uint32_t w : code_words()) {
+    if (IsFill(w)) {
+      out.EmitFill(!FillBit(w), FillGroups(w));
     } else {
-      const WordT lit = ~w & Traits<WordT>::kFullLiteral;
+      const uint32_t lit = ~w & kFullLiteral;
       if (lit == 0) {
         out.EmitFill(false, 1);
-      } else if (lit == Traits<WordT>::kFullLiteral) {
+      } else if (lit == kFullLiteral) {
         out.EmitFill(true, 1);
       } else {
         out.EmitLiteral(lit);
@@ -1106,7 +1031,8 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Not() const {
   }
   out.size_ = size_ - static_cast<uint64_t>(active_bits_);
   if (active_bits_ > 0) {
-    const WordT mask = static_cast<WordT>(bitutil::LowBitsMask(active_bits_));
+    const uint32_t mask =
+        static_cast<uint32_t>(bitutil::LowBitsMask(active_bits_));
     out.active_word_ = ~active_word_ & mask;
     out.active_bits_ = active_bits_;
     out.size_ += static_cast<uint64_t>(active_bits_);
@@ -1114,15 +1040,14 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Not() const {
   return out;
 }
 
-template <typename WordT>
-std::string BasicWahBitVector<WordT>::DebugString() const {
+std::string WahBitVector::DebugString() const {
   std::string out;
-  for (WordT w : code_words()) {
-    if (Traits<WordT>::IsFill(w)) {
+  for (uint32_t w : code_words()) {
+    if (IsFill(w)) {
       out += "F";
-      out += Traits<WordT>::FillBit(w) ? '1' : '0';
+      out += FillBit(w) ? '1' : '0';
       out += 'x';
-      out += std::to_string(Traits<WordT>::FillGroups(w));
+      out += std::to_string(FillGroups(w));
       out += ' ';
     } else {
       out += "L:";
@@ -1141,21 +1066,20 @@ std::string BasicWahBitVector<WordT>::DebugString() const {
   return out;
 }
 
-template <typename WordT>
-Result<BasicWahBitVector<WordT>> BasicWahBitVector<WordT>::FromBorrowed(
-    std::span<const WordT> words, WordT active_word, int active_bits,
+Result<WahBitVector> WahBitVector::FromBorrowed(
+    std::span<const uint32_t> words, uint32_t active_word, int active_bits,
     uint64_t size) {
   if (active_bits < 0 || active_bits >= kGroupBits) {
     return Status::IOError("borrowed WAH vector: active_bits out of range");
   }
   if ((active_word &
-       ~static_cast<WordT>(bitutil::LowBitsMask(active_bits))) != 0) {
+       ~static_cast<uint32_t>(bitutil::LowBitsMask(active_bits))) != 0) {
     return Status::IOError("borrowed WAH vector: active word has stray bits");
   }
   if (size < static_cast<uint64_t>(active_bits)) {
     return Status::IOError("borrowed WAH vector: size below active bits");
   }
-  BasicWahBitVector out;
+  WahBitVector out;
   out.borrowed_words_ = words.data();
   out.num_borrowed_ = words.size();
   out.active_word_ = active_word;
@@ -1164,17 +1088,16 @@ Result<BasicWahBitVector<WordT>> BasicWahBitVector<WordT>::FromBorrowed(
   return out;
 }
 
-template <typename WordT>
-Status BasicWahBitVector<WordT>::ValidateStructure() const {
+Status WahBitVector::ValidateStructure() const {
   // Reject the moment the running total exceeds what `size_` allows:
   // adversarial fill counts must not be able to wrap the uint64 sum and
   // sneak a too-long vector past the final equality check. Each fill word
-  // contributes well under 2^63 groups, and the bound itself is at most
+  // contributes under 2^30 groups, and the bound itself is at most
   // 2^64 / kGroupBits, so `groups` can never overflow before the check.
   const uint64_t max_groups = size_ / kGroupBits + 1;
   uint64_t groups = 0;
-  for (WordT w : code_words()) {
-    groups += Traits<WordT>::IsFill(w) ? Traits<WordT>::FillGroups(w) : 1;
+  for (uint32_t w : code_words()) {
+    groups += IsFill(w) ? FillGroups(w) : 1;
     if (groups > max_groups) {
       return Status::IOError("WAH vector: decoded group count does not "
                              "match declared size");
@@ -1187,66 +1110,17 @@ Status BasicWahBitVector<WordT>::ValidateStructure() const {
   return Status::OK();
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::Detach() {
+void WahBitVector::Detach() {
   if (!borrowed()) return;
   words_.assign(borrowed_words_, borrowed_words_ + num_borrowed_);
   borrowed_words_ = nullptr;
   num_borrowed_ = 0;
 }
 
-template <typename WordT>
-void BasicWahBitVector<WordT>::SaveTo(BinaryWriter& writer) const {
-  writer.WriteU64(size_);
-  writer.WriteU32(static_cast<uint32_t>(active_bits_));
-  WriteWord(writer, active_word_);
-  const std::span<const WordT> words = code_words();
-  writer.WriteU64(words.size());
-  for (WordT word : words) WriteWord(writer, word);
-}
-
-template <typename WordT>
-Result<BasicWahBitVector<WordT>> BasicWahBitVector<WordT>::LoadFrom(
-    BinaryReader& reader) {
-  BasicWahBitVector out;
-  INCDB_ASSIGN_OR_RETURN(out.size_, reader.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint32_t active_bits, reader.ReadU32());
-  if (active_bits >= static_cast<uint32_t>(kGroupBits)) {
-    return Status::IOError("corrupted WAH payload: active_bits out of range");
-  }
-  out.active_bits_ = static_cast<int>(active_bits);
-  INCDB_RETURN_IF_ERROR(ReadWord(reader, &out.active_word_));
-  if ((out.active_word_ &
-       ~static_cast<WordT>(bitutil::LowBitsMask(out.active_bits_))) != 0) {
-    return Status::IOError(
-        "corrupted WAH payload: active word has stray bits");
-  }
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_words, reader.ReadU64());
-  if (num_words > (uint64_t{1} << 40)) {
-    return Status::IOError("corrupted WAH payload: implausible word count");
-  }
-  out.words_.resize(num_words);
-  for (uint64_t i = 0; i < num_words; ++i) {
-    INCDB_RETURN_IF_ERROR(ReadWord(reader, &out.words_[i]));
-  }
-  // Cross-check the declared size against the decoded group count.
-  uint64_t groups = 0;
-  for (WordT w : out.words_) {
-    groups += Traits<WordT>::IsFill(w) ? Traits<WordT>::FillGroups(w) : 1;
-  }
-  if (groups * kGroupBits + static_cast<uint64_t>(out.active_bits_) !=
-      out.size_) {
-    return Status::IOError("corrupted WAH payload: size mismatch");
-  }
-  return out;
-}
-
-template <typename WordT>
-bool BasicWahTermPlan<WordT>::PrefersDense() const {
+bool WahTermPlan::PrefersDense() const {
   const double threshold = wah_internal::DenseBlockThreshold();
   if (threshold <= 0.0) return true;
-  const uint64_t groups =
-      num_bits / static_cast<uint64_t>(Traits<WordT>::kGroupBits);
+  const uint64_t groups = num_bits / kGroupBits;
   if (threshold > 1.0 || factors.empty() || groups == 0) return false;
   uint64_t code_words = 0;
   for (const Operand& op : factors) code_words += op.vec->NumWords();
@@ -1254,29 +1128,24 @@ bool BasicWahTermPlan<WordT>::PrefersDense() const {
          threshold * static_cast<double>(groups * factors.size());
 }
 
-template <typename WordT>
-uint64_t BasicWahTermPlan<WordT>::DenseCount(WahOpStats* op_stats) const {
-  DensePlanPass<WordT> pass(*this);
+uint64_t WahTermPlan::DenseCount(WahOpStats* op_stats) const {
+  DensePlanPass pass(*this);
   const simd::Kernels& kernels = simd::ActiveKernels();
   uint64_t count = 0;
   pass.Run(
-      [&](const WordT* window, uint64_t w) {
-        count +=
-            kernels.popcount(window, static_cast<size_t>(w) * sizeof(WordT));
+      [&](const uint32_t* window, uint64_t w) {
+        count += kernels.popcount(window, w * sizeof(uint32_t));
       },
       op_stats);
   return count + static_cast<uint64_t>(std::popcount(pass.ActiveResult()));
 }
 
-template <typename WordT>
-BitVector BasicWahTermPlan<WordT>::DenseMaterialize(
-    WahOpStats* op_stats) const {
-  constexpr int kGroupBits = Traits<WordT>::kGroupBits;
-  DensePlanPass<WordT> pass(*this);
+BitVector WahTermPlan::DenseMaterialize(WahOpStats* op_stats) const {
+  DensePlanPass pass(*this);
   std::vector<uint64_t> words(bitutil::CeilDiv(num_bits, 64));
   uint64_t bit_pos = 0;
   pass.Run(
-      [&](const WordT* window, uint64_t w) {
+      [&](const uint32_t* window, uint64_t w) {
         for (uint64_t i = 0; i < w; ++i) {
           PackBits(words.data(), bit_pos, window[i], kGroupBits);
           bit_pos += kGroupBits;
@@ -1287,9 +1156,5 @@ BitVector BasicWahTermPlan<WordT>::DenseMaterialize(
            static_cast<int>(num_bits - bit_pos));
   return VerbatimFromWords(num_bits, std::move(words));
 }
-
-template class BasicWahBitVector<uint32_t>;
-template class BasicWahBitVector<uint64_t>;
-template struct BasicWahTermPlan<uint32_t>;
 
 }  // namespace incdb

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bitvector/bitvector.h"
-#include "common/io.h"
+#include "common/status.h"
 #include "simd/simd.h"
 
 namespace incdb {
@@ -49,32 +49,27 @@ double DenseBlockThreshold();
 /// disables the dense path entirely. Returns the previous value.
 double SetDenseBlockThresholdForTesting(double threshold);
 
-/// Per-word-type constants and code-word accessors. With W = bits per word:
-/// the top bit flags a fill, the next bit is the fill value, the remaining
-/// W-2 bits count fill groups of W-1 bits each.
-template <typename WordT>
-struct WahTraits {
-  static constexpr int kWordBits = static_cast<int>(sizeof(WordT) * 8);
-  static constexpr int kGroupBits = kWordBits - 1;
-  static constexpr WordT kFillFlag = WordT{1} << (kWordBits - 1);
-  static constexpr WordT kFillBitFlag = WordT{1} << (kWordBits - 2);
-  static constexpr WordT kFillCountMask = kFillBitFlag - 1;
-  static constexpr uint64_t kMaxFillGroups = kFillCountMask;
-  static constexpr WordT kFullLiteral = kFillFlag - 1;
+/// Code-word constants and accessors of 32-bit WAH: the top bit flags a
+/// fill, the next bit is the fill value, the remaining 30 bits count fill
+/// groups of 31 bits each. A literal word holds one 31-bit group.
+inline constexpr int kGroupBits = 31;
+inline constexpr uint32_t kFillFlag = uint32_t{1} << 31;
+inline constexpr uint32_t kFillBitFlag = uint32_t{1} << 30;
+inline constexpr uint32_t kFillCountMask = kFillBitFlag - 1;
+inline constexpr uint64_t kMaxFillGroups = kFillCountMask;
+inline constexpr uint32_t kFullLiteral = kFillFlag - 1;
 
-  static bool IsFill(WordT word) { return (word & kFillFlag) != 0; }
-  static bool FillBit(WordT word) { return (word & kFillBitFlag) != 0; }
-  static uint64_t FillGroups(WordT word) { return word & kFillCountMask; }
-  static WordT MakeFill(bool bit, uint64_t groups) {
-    return kFillFlag | (bit ? kFillBitFlag : WordT{0}) |
-           static_cast<WordT>(groups & kFillCountMask);
-  }
-};
+inline bool IsFill(uint32_t word) { return (word & kFillFlag) != 0; }
+inline bool FillBit(uint32_t word) { return (word & kFillBitFlag) != 0; }
+inline uint64_t FillGroups(uint32_t word) { return word & kFillCountMask; }
+inline uint32_t MakeFill(bool bit, uint64_t groups) {
+  return kFillFlag | (bit ? kFillBitFlag : 0) |
+         static_cast<uint32_t>(groups & kFillCountMask);
+}
 
 }  // namespace wah_internal
 
-template <typename WordT>
-class BasicWahBitVector;
+class WahBitVector;
 
 /// Cursor over the group-aligned part of a compressed vector, yielding runs
 /// in O(1) per code word: a fill word is one run of FillGroups groups, a
@@ -84,12 +79,9 @@ class BasicWahBitVector;
 ///
 /// The partial trailing group (the vector's `active` word) is NOT part of
 /// the run stream; callers that need it must handle it separately.
-template <typename WordT>
-class BasicWahRunIterator {
-  using Traits = wah_internal::WahTraits<WordT>;
-
+class WahRunIterator {
  public:
-  explicit BasicWahRunIterator(const BasicWahBitVector<WordT>& vec);
+  explicit WahRunIterator(const WahBitVector& vec);
 
   /// True once every group-aligned run has been consumed.
   bool done() const { return groups_left_ == 0; }
@@ -100,9 +92,9 @@ class BasicWahRunIterator {
   uint64_t groups_left() const { return groups_left_; }
 
   /// The current run viewed as a literal word (fills expand to 0/all-ones).
-  WordT LiteralView() const {
+  uint32_t LiteralView() const {
     if (!is_fill_) return literal_;
-    return fill_bit_ ? Traits::kFullLiteral : WordT{0};
+    return fill_bit_ ? wah_internal::kFullLiteral : 0;
   }
 
   /// Consumes n groups from the current run (n <= groups_left()).
@@ -126,10 +118,11 @@ class BasicWahRunIterator {
   /// immediately following literal words into dst, consuming them all.
   /// Consecutive literals are adjacent in the code-word stream, so this is
   /// a straight scan-and-copy. Returns the number copied (>= 1).
-  uint64_t CopyLiteralRun(WordT* dst, uint64_t max) {
+  uint64_t CopyLiteralRun(uint32_t* dst, uint64_t max) {
     dst[0] = literal_;
     uint64_t n = 1;
-    while (n < max && pos_ < words_.size() && !Traits::IsFill(words_[pos_])) {
+    while (n < max && pos_ < words_.size() &&
+           !wah_internal::IsFill(words_[pos_])) {
       dst[n++] = words_[pos_++];
     }
     groups_left_ = 0;
@@ -143,11 +136,11 @@ class BasicWahRunIterator {
   /// storing the count in *n. A literal code word IS its decoded group word
   /// (the fill-flag MSB is 0), so callers can feed the returned span to the
   /// bulk kernels directly — the dense fast path's zero-copy primitive.
-  const WordT* ViewLiteralRun(uint64_t max, uint64_t* n) {
-    const WordT* run = &words_[pos_ - 1];
+  const uint32_t* ViewLiteralRun(uint64_t max, uint64_t* n) {
+    const uint32_t* run = &words_[pos_ - 1];
     uint64_t count = 1;
     while (count < max && pos_ < words_.size() &&
-           !Traits::IsFill(words_[pos_])) {
+           !wah_internal::IsFill(words_[pos_])) {
       ++count;
       ++pos_;
     }
@@ -157,29 +150,15 @@ class BasicWahRunIterator {
     return run;
   }
 
-  /// CopyLiteralRun without the copy: consumes up to `max` consecutive
-  /// literal groups and returns how many. One fill test per code word, no
-  /// decode.
-  uint64_t SkipLiteralRun(uint64_t max) {
-    uint64_t n = 1;
-    while (n < max && pos_ < words_.size() && !Traits::IsFill(words_[pos_])) {
-      ++n;
-      ++pos_;
-    }
-    groups_left_ = 0;
-    Load();
-    return n;
-  }
-
  private:
   void Load() {
     while (pos_ < words_.size()) {
-      const WordT w = words_[pos_++];
-      if (Traits::IsFill(w)) {
-        const uint64_t n = Traits::FillGroups(w);
+      const uint32_t w = words_[pos_++];
+      if (wah_internal::IsFill(w)) {
+        const uint64_t n = wah_internal::FillGroups(w);
         if (n == 0) continue;  // defensive: skip empty fills
         is_fill_ = true;
-        fill_bit_ = Traits::FillBit(w);
+        fill_bit_ = wah_internal::FillBit(w);
         groups_left_ = n;
         return;
       }
@@ -191,30 +170,26 @@ class BasicWahRunIterator {
     groups_left_ = 0;
   }
 
-  std::span<const WordT> words_;
+  std::span<const uint32_t> words_;
   size_t pos_ = 0;
   bool is_fill_ = false;
   bool fill_bit_ = false;
-  WordT literal_ = 0;
+  uint32_t literal_ = 0;
   uint64_t groups_left_ = 0;
 };
 
-/// Word-Aligned Hybrid (WAH) compressed bitvector (Wu, Otoo, Shoshani),
-/// parameterized on the machine word type.
+/// Word-Aligned Hybrid (WAH) compressed bitvector (Wu, Otoo, Shoshani)
+/// over 32-bit words, the format the paper (and FastBit) uses.
 ///
 /// The paper executes all bitmap-index query operations directly over
-/// WAH-compressed bitvectors; this class is that substrate. The canonical
-/// format (and the paper's) uses 32-bit words — `WahBitVector` below; the
-/// 64-bit instantiation `Wah64BitVector` exists for the word-size ablation
-/// (bigger groups = fewer words touched per op, but 63-bit groups compress
-/// long runs less often than 31-bit groups do).
+/// WAH-compressed bitvectors; this class is that substrate.
 ///
 /// Layout: a sequence of words. The most significant bit distinguishes the
 /// two word types:
-///  * literal word (MSB = 0): the low W-1 bits hold W-1 bitmap bits
-///    (LSB-first: bit j of the word is bitmap bit `group*(W-1) + j`);
+///  * literal word (MSB = 0): the low 31 bits hold 31 bitmap bits
+///    (LSB-first: bit j of the word is bitmap bit `group*31 + j`);
 ///  * fill word (MSB = 1): the next bit is the fill bit, the remaining
-///    W-2 bits hold the fill length counted in (W-1)-bit groups.
+///    30 bits hold the fill length counted in 31-bit groups.
 /// A partial trailing group lives in the `active` word.
 ///
 /// Logical operations (And/Or/Xor/Not) consume and produce compressed
@@ -222,20 +197,19 @@ class BasicWahRunIterator {
 /// which is the source of the speedups the paper reports. The fused
 /// multi-operand kernels (OrMany/AndMany and the *Count variants) fold k
 /// operands in a single pass, re-compressing once instead of k-1 times.
-template <typename WordT>
-class BasicWahBitVector {
+class WahBitVector {
  public:
-  /// Bits per literal group (W - 1).
-  static constexpr int kGroupBits = static_cast<int>(sizeof(WordT) * 8) - 1;
+  /// Bits per literal group.
+  static constexpr int kGroupBits = wah_internal::kGroupBits;
 
   /// Empty vector (zero bits).
-  BasicWahBitVector() = default;
+  WahBitVector() = default;
 
   /// Compresses a verbatim bitvector.
-  static BasicWahBitVector Compress(const BitVector& bits);
+  static WahBitVector Compress(const BitVector& bits);
 
   /// A vector of `size` copies of `bit` (maximally compressed).
-  static BasicWahBitVector Fill(uint64_t size, bool bit);
+  static WahBitVector Fill(uint64_t size, bool bit);
 
   /// A non-owning ("borrowed") vector whose code words live in external
   /// memory — the storage engine's mmap zero-copy mode: the words stay in
@@ -245,23 +219,22 @@ class BasicWahBitVector {
   /// cross-check against `size` is ValidateStructure(), which the storage
   /// reader runs only under OpenOptions::verify_checksums so opening stays
   /// independent of the word count.
-  static Result<BasicWahBitVector> FromBorrowed(std::span<const WordT> words,
-                                                WordT active_word,
-                                                int active_bits,
-                                                uint64_t size);
+  static Result<WahBitVector> FromBorrowed(std::span<const uint32_t> words,
+                                           uint32_t active_word,
+                                           int active_bits, uint64_t size);
 
   /// True when the code words are borrowed from external memory.
   bool borrowed() const { return borrowed_words_ != nullptr; }
 
   /// The compressed code words (excluding the active word), wherever they
   /// live — the owned heap buffer or a borrowed mapping.
-  std::span<const WordT> code_words() const {
-    return borrowed() ? std::span<const WordT>(borrowed_words_, num_borrowed_)
-                      : std::span<const WordT>(words_);
+  std::span<const uint32_t> code_words() const {
+    if (borrowed()) return {borrowed_words_, num_borrowed_};
+    return words_;
   }
 
   /// The partial trailing group (active_bits() low bits are meaningful).
-  WordT active_word() const { return active_word_; }
+  uint32_t active_word() const { return active_word_; }
   int active_bits() const { return active_bits_; }
 
   /// O(words) structural invariant check: decoded group count plus the
@@ -297,12 +270,11 @@ class BasicWahBitVector {
   /// O(words) *per call* for Get.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
-    using Traits = wah_internal::WahTraits<WordT>;
     uint64_t bit_pos = 0;
-    for (WordT w : code_words()) {
-      if (Traits::IsFill(w)) {
-        const uint64_t span_bits = Traits::FillGroups(w) * kGroupBits;
-        if (Traits::FillBit(w)) {
+    for (uint32_t w : code_words()) {
+      if (wah_internal::IsFill(w)) {
+        const uint64_t span_bits = wah_internal::FillGroups(w) * kGroupBits;
+        if (wah_internal::FillBit(w)) {
           // Emit the one-fill as whole 64-bit chunks through the extraction
           // primitive (a counted loop per chunk) instead of one indexed
           // loop iteration per bit with a 64-bit bound compare each.
@@ -318,7 +290,7 @@ class BasicWahBitVector {
         }
         bit_pos += span_bits;
       } else {
-        for (WordT v = w; v != 0; v &= v - 1) {
+        for (uint32_t v = w; v != 0; v &= v - 1) {
           fn(bit_pos + static_cast<uint64_t>(std::countr_zero(v)));
         }
         bit_pos += kGroupBits;
@@ -333,25 +305,24 @@ class BasicWahBitVector {
   uint64_t SizeInBytes() const;
 
   /// Compressed bytes divided by verbatim bitmap bytes (size()/8). An
-  /// incompressible vector yields ~W/(W-1) (1.03 for 32-bit words),
-  /// matching the paper's observation that WAH can slightly inflate random
-  /// bitmaps.
+  /// incompressible vector yields ~32/31 (1.03), matching the paper's
+  /// observation that WAH can slightly inflate random bitmaps.
   double CompressionRatio() const;
 
   /// Logical operations over the compressed form. Operands must have equal
   /// size(); the result is compressed.
-  BasicWahBitVector And(const BasicWahBitVector& other) const;
-  BasicWahBitVector Or(const BasicWahBitVector& other) const;
-  BasicWahBitVector Xor(const BasicWahBitVector& other) const;
+  WahBitVector And(const WahBitVector& other) const;
+  WahBitVector Or(const WahBitVector& other) const;
+  WahBitVector Xor(const WahBitVector& other) const;
   /// a AND (NOT b), used to strip missing rows without a separate Not pass.
-  BasicWahBitVector AndNot(const BasicWahBitVector& other) const;
+  WahBitVector AndNot(const WahBitVector& other) const;
   /// Bitwise complement.
-  BasicWahBitVector Not() const;
+  WahBitVector Not() const;
 
   /// One operand of a fused multi-way kernel: a vector, optionally read
   /// through a complement (`negate`) without ever materializing NOT(vec).
   struct Operand {
-    const BasicWahBitVector* vec = nullptr;
+    const WahBitVector* vec = nullptr;
     bool negate = false;
   };
 
@@ -365,39 +336,34 @@ class BasicWahBitVector {
   /// vector kernels (simd/simd.h), and re-encoded at the sink.
   /// Operands must be non-empty and of equal size(). `op_stats`, when
   /// non-null, accumulates which path ran (EXPLAIN's simd=/decoded=).
-  static BasicWahBitVector OrMany(
-      std::span<const BasicWahBitVector* const> operands,
-      WahOpStats* op_stats = nullptr);
-  static BasicWahBitVector AndMany(
-      std::span<const BasicWahBitVector* const> operands,
-      WahOpStats* op_stats = nullptr);
+  static WahBitVector OrMany(std::span<const WahBitVector* const> operands,
+                             WahOpStats* op_stats = nullptr);
+  static WahBitVector AndMany(std::span<const WahBitVector* const> operands,
+                              WahOpStats* op_stats = nullptr);
   /// AND with per-operand complement, e.g. the bit-sliced equality circuit
   /// AND_k (bit k set ? S_k : NOT S_k) in one fused pass.
-  static BasicWahBitVector AndMany(std::span<const Operand> operands,
-                                   WahOpStats* op_stats = nullptr);
+  static WahBitVector AndMany(std::span<const Operand> operands,
+                              WahOpStats* op_stats = nullptr);
 
   /// Fused count kernels: identical walks to OrMany/AndMany that produce
   /// only the popcount of the result — no result vector is materialized.
   /// The workhorses of ExecuteCount / ExecuteGroupCount / ExecuteAggregate.
-  static uint64_t OrManyCount(
-      std::span<const BasicWahBitVector* const> operands,
-      WahOpStats* op_stats = nullptr);
-  static uint64_t AndManyCount(
-      std::span<const BasicWahBitVector* const> operands,
-      WahOpStats* op_stats = nullptr);
+  static uint64_t OrManyCount(std::span<const WahBitVector* const> operands,
+                              WahOpStats* op_stats = nullptr);
+  static uint64_t AndManyCount(std::span<const WahBitVector* const> operands,
+                               WahOpStats* op_stats = nullptr);
   static uint64_t AndManyCount(std::span<const Operand> operands,
                                WahOpStats* op_stats = nullptr);
   /// Count of a AND b without materializing it (the per-group kernel of
   /// GROUP BY / aggregates).
-  static uint64_t AndCount(const BasicWahBitVector& a,
-                           const BasicWahBitVector& b,
+  static uint64_t AndCount(const WahBitVector& a, const WahBitVector& b,
                            WahOpStats* op_stats = nullptr);
 
   /// Content equality: a borrowed vector equals an owned one holding the
   /// same code words.
-  bool operator==(const BasicWahBitVector& other) const {
-    const std::span<const WordT> a = code_words();
-    const std::span<const WordT> b = other.code_words();
+  bool operator==(const WahBitVector& other) const {
+    const std::span<const uint32_t> a = code_words();
+    const std::span<const uint32_t> b = other.code_words();
     return size_ == other.size_ && active_bits_ == other.active_bits_ &&
            active_word_ == other.active_word_ && a.size() == b.size() &&
            std::equal(a.begin(), a.end(), b.begin());
@@ -409,50 +375,38 @@ class BasicWahBitVector {
   /// Debug rendering: "L:xxxxx" literal words and "F<bit>x<n>" fills.
   std::string DebugString() const;
 
-  /// Writes the compressed payload to `writer` (the on-disk form whose
-  /// size the paper's index-size metric measures). The format depends on
-  /// the word width; files are not interchangeable between instantiations.
-  void SaveTo(BinaryWriter& writer) const;
-
-  /// Reads a payload written by SaveTo. Validates internal consistency.
-  static Result<BasicWahBitVector> LoadFrom(BinaryReader& reader);
-
  private:
-  friend class BasicWahRunIterator<WordT>;
-
   // Shared single-pass engines behind the public fused kernels.
-  static BasicWahBitVector FuseToVector(std::span<const Operand> operands,
-                                        bool is_or, WahOpStats* op_stats);
+  static WahBitVector FuseToVector(std::span<const Operand> operands,
+                                   bool is_or, WahOpStats* op_stats);
   static uint64_t FuseToCount(std::span<const Operand> operands, bool is_or,
                               WahOpStats* op_stats);
 
   // Emits into words_ only (no size_ accounting), merging adjacent fills
   // and converting all-zero / all-one literals to fills.
   void EmitFill(bool bit, uint64_t groups);
-  void EmitLiteral(WordT literal);
+  void EmitLiteral(uint32_t literal);
   void FlushActiveGroup();
 
   enum class OpKind { kAnd, kOr, kXor, kAndNot };
-  BasicWahBitVector BinaryOp(const BasicWahBitVector& other, OpKind op) const;
+  WahBitVector BinaryOp(const WahBitVector& other, OpKind op) const;
 
   // Copies borrowed code words into words_ so mutators can extend them.
   // No-op for an owned vector.
   void Detach();
 
-  std::vector<WordT> words_;
+  std::vector<uint32_t> words_;
   // Borrowed (non-owning) code words; when set, words_ is empty and all
   // reads go through code_words(). Copies of a borrowed vector stay
   // borrowed (shallow pointer copy) — the mapping must outlive them all.
-  const WordT* borrowed_words_ = nullptr;
+  const uint32_t* borrowed_words_ = nullptr;
   size_t num_borrowed_ = 0;
-  WordT active_word_ = 0;  // partial trailing group, LSB-first
-  int active_bits_ = 0;    // bits in active_word_, in [0, kGroupBits)
-  uint64_t size_ = 0;      // total bits
+  uint32_t active_word_ = 0;  // partial trailing group, LSB-first
+  int active_bits_ = 0;       // bits in active_word_, in [0, kGroupBits)
+  uint64_t size_ = 0;         // total bits
 };
 
-template <typename WordT>
-BasicWahRunIterator<WordT>::BasicWahRunIterator(
-    const BasicWahBitVector<WordT>& vec)
+inline WahRunIterator::WahRunIterator(const WahBitVector& vec)
     : words_(vec.code_words()) {
   Load();
 }
@@ -467,16 +421,15 @@ BasicWahRunIterator<WordT>::BasicWahRunIterator(
 /// Stored flat: a product is a span of `factors`, a clause a span of
 /// `products`. No clauses means all ones, an empty clause all zeros, an
 /// empty product all ones. Every operand must span `num_bits` bits.
-template <typename WordT>
-struct BasicWahTermPlan {
-  using Operand = typename BasicWahBitVector<WordT>::Operand;
+struct WahTermPlan {
+  using Operand = WahBitVector::Operand;
   struct Span {
     size_t begin = 0;
     size_t end = 0;
     size_t size() const { return end - begin; }
   };
 
-  explicit BasicWahTermPlan(uint64_t bits) : num_bits(bits) {}
+  explicit WahTermPlan(uint64_t bits) : num_bits(bits) {}
 
   /// Opens a new, empty clause.
   void AddClause() { clauses.push_back({products.size(), products.size()}); }
@@ -517,20 +470,6 @@ struct BasicWahTermPlan {
   std::vector<Span> products;
   std::vector<Span> clauses;
 };
-
-/// The paper's (and FastBit's) canonical 32-bit WAH.
-using WahBitVector = BasicWahBitVector<uint32_t>;
-/// 64-bit-word WAH for the word-size ablation.
-using Wah64BitVector = BasicWahBitVector<uint64_t>;
-
-using WahRunIterator = BasicWahRunIterator<uint32_t>;
-using Wah64RunIterator = BasicWahRunIterator<uint64_t>;
-
-using WahTermPlan = BasicWahTermPlan<uint32_t>;
-
-extern template class BasicWahBitVector<uint32_t>;
-extern template class BasicWahBitVector<uint64_t>;
-extern template struct BasicWahTermPlan<uint32_t>;
 
 }  // namespace incdb
 

@@ -59,8 +59,8 @@ double Log2Ceil(uint32_t cardinality) {
 /// scalar dispatch level (which still runs the hybrid dense-block engine,
 /// so these capture only the vector-width gain). The constants are the
 /// geometric-mean time ratios vs the scalar level over the full
-/// bench_simd_kernels matrix — density x k x word width x kernel (see
-/// docs/KERNELS.md; sparse cells never touch the kernels, which is why the
+/// bench_simd_kernels matrix — density x k x kernel, measured when it still
+/// had a 64-bit word axis too (see docs/KERNELS.md; sparse cells never touch the kernels, which is why the
 /// all-matrix means sit well above the ~0.3 dense-only ratios). They scale
 /// every bitmap kind equally — bitmap-vs-bitmap ranking is untouched — but
 /// shift the crossover against the scans, whose per-cell cost the wider

@@ -1,10 +1,8 @@
 #include "vafile/va_file.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/bitutil.h"
-#include "common/io.h"
 #include "common/logging.h"
 
 namespace incdb {
@@ -195,112 +193,6 @@ Status VaFile::AppendRow(const std::vector<Value>& row) {
   }
   ++num_rows_;
   return Status::OK();
-}
-
-namespace {
-constexpr char kVaMagic[] = "INCDBVA1";
-}  // namespace
-
-Status VaFile::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  BinaryWriter writer(out);
-  writer.WriteString(kVaMagic);
-  writer.WriteU8(static_cast<uint8_t>(options_.quantization));
-  writer.WriteU32(static_cast<uint32_t>(options_.bits_override));
-  writer.WriteU64(num_rows_);
-  writer.WriteU32(row_stride_bits_);
-  writer.WriteU64(attributes_.size());
-  for (const AttributeQuantizer& quantizer : attributes_) {
-    writer.WriteU32(static_cast<uint32_t>(quantizer.bits));
-    writer.WriteU32(quantizer.num_bins);
-    writer.WriteU32(quantizer.cardinality);
-    writer.WriteU32(quantizer.bit_offset);
-    writer.WriteU32Vector(quantizer.code_of_value);
-    writer.WriteU64(quantizer.bin_lo.size());
-    for (size_t i = 0; i < quantizer.bin_lo.size(); ++i) {
-      writer.WriteI32(quantizer.bin_lo[i]);
-      writer.WriteI32(quantizer.bin_hi[i]);
-    }
-  }
-  const std::span<const uint64_t> packed = packed_view();
-  writer.WriteU64(packed.size());
-  for (uint64_t word : packed) writer.WriteU64(word);
-  return writer.status();
-}
-
-Result<VaFile> VaFile::Load(const std::string& path, const Table& table) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  BinaryReader reader(in);
-  INCDB_ASSIGN_OR_RETURN(std::string magic, reader.ReadString(64));
-  if (magic != kVaMagic) {
-    return Status::IOError("'" + path + "' is not an incdb VA-file");
-  }
-  Options options;
-  INCDB_ASSIGN_OR_RETURN(uint8_t quantization, reader.ReadU8());
-  if (quantization > static_cast<uint8_t>(VaQuantization::kEquiDepth)) {
-    return Status::IOError("'" + path + "': corrupted quantization tag");
-  }
-  options.quantization = static_cast<VaQuantization>(quantization);
-  INCDB_ASSIGN_OR_RETURN(uint32_t bits_override, reader.ReadU32());
-  options.bits_override = static_cast<int>(bits_override);
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint32_t stride, reader.ReadU32());
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_attrs, reader.ReadU64());
-  if (num_attrs != table.num_attributes()) {
-    return Status::InvalidArgument(
-        "'" + path + "' has " + std::to_string(num_attrs) +
-        " attributes, base table has " +
-        std::to_string(table.num_attributes()));
-  }
-  if (num_rows > table.num_rows()) {
-    return Status::InvalidArgument("'" + path +
-                                   "' covers more rows than the base table");
-  }
-  std::vector<AttributeQuantizer> attributes;
-  attributes.reserve(num_attrs);
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    AttributeQuantizer quantizer;
-    INCDB_ASSIGN_OR_RETURN(uint32_t bits, reader.ReadU32());
-    quantizer.bits = static_cast<int>(bits);
-    INCDB_ASSIGN_OR_RETURN(quantizer.num_bins, reader.ReadU32());
-    INCDB_ASSIGN_OR_RETURN(quantizer.cardinality, reader.ReadU32());
-    INCDB_ASSIGN_OR_RETURN(quantizer.bit_offset, reader.ReadU32());
-    INCDB_ASSIGN_OR_RETURN(quantizer.code_of_value, reader.ReadU32Vector());
-    if (quantizer.cardinality != table.schema().attribute(a).cardinality) {
-      return Status::InvalidArgument(
-          "'" + path + "': attribute " + std::to_string(a) +
-          " cardinality mismatch with base table");
-    }
-    if (quantizer.bits < 1 || quantizer.bits > 30 ||
-        quantizer.num_bins != (uint32_t{1} << quantizer.bits) - 1 ||
-        quantizer.code_of_value.size() != quantizer.cardinality) {
-      return Status::IOError("'" + path + "': corrupted quantizer");
-    }
-    INCDB_ASSIGN_OR_RETURN(uint64_t num_bins, reader.ReadU64());
-    if (num_bins != quantizer.num_bins) {
-      return Status::IOError("'" + path + "': corrupted bin table");
-    }
-    quantizer.bin_lo.resize(num_bins);
-    quantizer.bin_hi.resize(num_bins);
-    for (uint64_t i = 0; i < num_bins; ++i) {
-      INCDB_ASSIGN_OR_RETURN(quantizer.bin_lo[i], reader.ReadI32());
-      INCDB_ASSIGN_OR_RETURN(quantizer.bin_hi[i], reader.ReadI32());
-    }
-    attributes.push_back(std::move(quantizer));
-  }
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_words, reader.ReadU64());
-  if (num_words !=
-      bitutil::CeilDiv(num_rows * static_cast<uint64_t>(stride), 64)) {
-    return Status::IOError("'" + path + "': packed payload size mismatch");
-  }
-  std::vector<uint64_t> packed(num_words);
-  for (uint64_t i = 0; i < num_words; ++i) {
-    INCDB_ASSIGN_OR_RETURN(packed[i], reader.ReadU64());
-  }
-  return VaFile(&table, options, std::move(attributes), stride, num_rows,
-                std::move(packed));
 }
 
 Result<VaFile> VaFile::FromParts(const Table* table, Options options,

@@ -86,15 +86,6 @@ class VaFile : public IncompleteIndex {
   /// Rows covered by the approximation file (tracks AppendRow).
   uint64_t num_rows() const { return num_rows_; }
 
-  /// Persists the approximation file and lookup tables to disk.
-  Status Save(const std::string& path) const;
-
-  /// Loads a VA-file written by Save. `table` is the base table used for
-  /// the refinement step; its shape must match (attribute count,
-  /// cardinalities, at least num_rows rows). The table must outlive the
-  /// returned index.
-  static Result<VaFile> Load(const std::string& path, const Table& table);
-
   /// Bits allocated to attribute `attr` (b_i).
   int BitsFor(size_t attr) const { return attributes_[attr].bits; }
 

@@ -1,11 +1,8 @@
-// Save/Load and incremental AppendRow for the bitmap index. The strongest
-// property: an incrementally-built index is bit-identical to a batch-built
-// one, and a loaded index answers every query exactly like the original.
+// Incremental AppendRow for the bitmap index. The strongest property: an
+// incrementally-built index is bit-identical to a batch-built one.
+// Persistence goes through the store (tests/storage/).
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "bitmap/bitmap_index.h"
 #include "core/executor.h"
@@ -14,77 +11,6 @@
 
 namespace incdb {
 namespace {
-
-class BitmapPersistenceTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-  std::string TempPath(const std::string& name) {
-    path_ = ::testing::TempDir() + "/" + name;
-    return path_;
-  }
-  std::string path_;
-};
-
-TEST_F(BitmapPersistenceTest, SaveLoadRoundTripBothEncodings) {
-  const Table table = GenerateTable(UniformSpec(1500, 12, 0.25, 4, 201)).value();
-  for (BitmapEncoding encoding :
-       {BitmapEncoding::kEquality, BitmapEncoding::kRange,
-        BitmapEncoding::kInterval, BitmapEncoding::kBitSliced}) {
-    const BitmapIndex original =
-        BitmapIndex::Build(table, {encoding, MissingStrategy::kExtraBitmap})
-            .value();
-    const std::string path = TempPath("bitmap.idx");
-    ASSERT_TRUE(original.Save(path).ok());
-    const auto loaded = BitmapIndex::Load(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->Name(), original.Name());
-    EXPECT_EQ(loaded->SizeInBytes(), original.SizeInBytes());
-    EXPECT_EQ(loaded->num_rows(), original.num_rows());
-
-    WorkloadParams params;
-    params.num_queries = 20;
-    params.dims = 3;
-    params.global_selectivity = 0.05;
-    const auto queries = GenerateWorkload(table, params);
-    ASSERT_TRUE(queries.ok());
-    EXPECT_TRUE(VerifyAgainstOracle(loaded.value(), table, queries.value()).ok());
-  }
-}
-
-TEST_F(BitmapPersistenceTest, OnDiskSizeTracksSizeInBytes) {
-  const Table table = GenerateTable(UniformSpec(5000, 30, 0.2, 3, 203)).value();
-  const BitmapIndex index = BitmapIndex::Build(table, {}).value();
-  const std::string path = TempPath("size.idx");
-  ASSERT_TRUE(index.Save(path).ok());
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  // File = payload + per-bitmap headers; the paper's metric is the file, so
-  // overhead must stay small.
-  EXPECT_GE(file_size, index.SizeInBytes());
-  EXPECT_LT(file_size, index.SizeInBytes() + index.SizeInBytes() / 2 + 4096);
-}
-
-TEST_F(BitmapPersistenceTest, LoadRejectsGarbage) {
-  const std::string path = TempPath("garbage.idx");
-  std::ofstream(path, std::ios::binary) << "this is not an index";
-  EXPECT_FALSE(BitmapIndex::Load(path).ok());
-  EXPECT_FALSE(BitmapIndex::Load("/nonexistent/nope.idx").ok());
-}
-
-TEST_F(BitmapPersistenceTest, LoadRejectsTruncatedFile) {
-  const Table table = GenerateTable(UniformSpec(1000, 10, 0.2, 2, 205)).value();
-  const BitmapIndex index = BitmapIndex::Build(table, {}).value();
-  const std::string path = TempPath("trunc.idx");
-  ASSERT_TRUE(index.Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  bytes.resize(bytes.size() * 2 / 3);
-  std::ofstream(path, std::ios::binary) << bytes;
-  EXPECT_FALSE(BitmapIndex::Load(path).ok());
-}
 
 struct AppendCase {
   BitmapEncoding encoding;

@@ -39,6 +39,16 @@ TEST(WahBitVectorTest, AppendRunMergesFills) {
   EXPECT_EQ(wah.NumWords(), 1u);  // one merged fill word
 }
 
+TEST(WahBitVectorTest, GroupsAre31Bits) {
+  // 32-bit code words: one flag bit, 31 payload bits per literal group.
+  EXPECT_EQ(WahBitVector::kGroupBits, 31);
+  const WahBitVector literal =
+      WahBitVector::Compress(BitVector::FromString("1010").value());
+  EXPECT_EQ(literal.active_bits(), 4);
+  EXPECT_EQ(WahBitVector::Fill(62, true).NumWords(), 1u);
+  EXPECT_EQ(WahBitVector::Fill(62, true).active_bits(), 0);
+}
+
 TEST(WahBitVectorTest, CompressDecompressIdentitySmall) {
   const BitVector dense = BitVector::FromString("0001000010").value();
   const WahBitVector wah = WahBitVector::Compress(dense);

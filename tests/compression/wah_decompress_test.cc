@@ -1,7 +1,6 @@
-// Word-level Decompress property test: for both word widths, owned and
-// borrowed (mmap-style) vectors, and sizes around every group and 64-bit
-// word boundary, Decompress must agree bit for bit with ForEachSetBit and
-// Get — including the all-zeros / all-ones fills it writes as word ranges
+// Word-level Decompress property test: for owned and borrowed (mmap-style)
+// vectors and sizes around every group and 64-bit word boundary, Decompress
+// must agree bit for bit with ForEachSetBit and Get — including the all-zeros / all-ones fills it writes as word ranges
 // and the partial trailing group.
 
 #include <gtest/gtest.h>
@@ -14,15 +13,6 @@
 
 namespace incdb {
 namespace {
-
-template <typename WordT>
-class WahDecompressTest : public ::testing::Test {
- public:
-  using Wah = BasicWahBitVector<WordT>;
-};
-
-using WordTypes = ::testing::Types<uint32_t, uint64_t>;
-TYPED_TEST_SUITE(WahDecompressTest, WordTypes);
 
 // Runs of random length and bit, each run either constant (fill material)
 // or bits drawn at `density` (literal material).
@@ -42,8 +32,7 @@ BitVector MixedRuns(Rng& rng, uint64_t n, double density) {
   return bits;
 }
 
-template <typename Wah>
-void ExpectDecompressAgrees(const Wah& wah, const BitVector& source,
+void ExpectDecompressAgrees(const WahBitVector& wah, const BitVector& source,
                             Rng& rng) {
   const BitVector out = wah.Decompress();
   ASSERT_EQ(out.size(), wah.size());
@@ -75,8 +64,7 @@ void ExpectDecompressAgrees(const Wah& wah, const BitVector& source,
   }
 }
 
-TYPED_TEST(WahDecompressTest, MatchesForEachSetBitAndGet) {
-  using Wah = typename TestFixture::Wah;
+TEST(WahDecompressTest, MatchesForEachSetBitAndGet) {
   Rng rng(17);
   const uint64_t sizes[] = {0, 1, 30, 31, 32, 62, 63, 64, 2000000 + 7};
   for (uint64_t n : sizes) {
@@ -85,17 +73,17 @@ TYPED_TEST(WahDecompressTest, MatchesForEachSetBitAndGet) {
                                       MixedRuns(rng, n, 0.02)};
     for (const BitVector& source : sources) {
       SCOPED_TRACE("size " + std::to_string(n));
-      const Wah owned = Wah::Compress(source);
+      const WahBitVector owned = WahBitVector::Compress(source);
       ExpectDecompressAgrees(owned, source, rng);
 
       // The same code words viewed in place, as the storage engine's mmap
       // open path hands them out.
       const auto borrowed =
-          Wah::FromBorrowed(owned.code_words(), owned.active_word(),
+          WahBitVector::FromBorrowed(owned.code_words(), owned.active_word(),
                             owned.active_bits(), owned.size());
       ASSERT_TRUE(borrowed.ok()) << borrowed.status().ToString();
       // (Vectors shorter than one group have no code words to borrow.)
-      if (n >= static_cast<uint64_t>(Wah::kGroupBits)) {
+      if (n >= static_cast<uint64_t>(WahBitVector::kGroupBits)) {
         ASSERT_TRUE(borrowed->borrowed());
       }
       ExpectDecompressAgrees(borrowed.value(), source, rng);

@@ -1,8 +1,8 @@
 // Property tests for the fused multi-operand WAH kernels: OrMany / AndMany
 // and the count-only variants must be bit-identical to the pairwise fold
 // they replace and to the verbatim BitVector oracle, for every operand
-// count, density mix and code-word width (DESIGN.md invariant 2 extended
-// to the k-way kernels).
+// count and density mix (DESIGN.md invariant 2 extended to the k-way
+// kernels).
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,6 @@
 
 namespace incdb {
 namespace {
-
-template <typename WordT>
-class WahMultiwayTest : public ::testing::Test {};
-
-using WordTypes = ::testing::Types<uint32_t, uint64_t>;
-TYPED_TEST_SUITE(WahMultiwayTest, WordTypes);
 
 BitVector RandomBits(Rng& rng, uint64_t n, double density) {
   BitVector bits(n);
@@ -58,22 +52,23 @@ std::vector<BitVector> MakeOperands(Rng& rng, size_t k, uint64_t n) {
   return plain;
 }
 
-TYPED_TEST(WahMultiwayTest, MatchesPairwiseFoldAndOracle) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahMultiwayTest, MatchesPairwiseFoldAndOracle) {
   for (uint64_t n : {1u, 31u, 63u, 64u, 100u, 977u, 10000u}) {
     for (size_t k : {1u, 2u, 3u, 5u, 8u, 16u}) {
       Rng rng(n * 131 + k);
       const std::vector<BitVector> plain = MakeOperands(rng, k, n);
-      std::vector<Vec> compressed;
-      std::vector<const Vec*> ptrs;
-      for (const BitVector& b : plain) compressed.push_back(Vec::Compress(b));
-      for (const Vec& v : compressed) ptrs.push_back(&v);
-      const std::span<const Vec* const> ops(ptrs.data(), ptrs.size());
+      std::vector<WahBitVector> compressed;
+      std::vector<const WahBitVector*> ptrs;
+      for (const BitVector& b : plain) {
+        compressed.push_back(WahBitVector::Compress(b));
+      }
+      for (const WahBitVector& v : compressed) ptrs.push_back(&v);
+      const std::span<const WahBitVector* const> ops(ptrs.data(), ptrs.size());
 
       BitVector or_oracle = plain[0];
       BitVector and_oracle = plain[0];
-      Vec or_fold = compressed[0];
-      Vec and_fold = compressed[0];
+      WahBitVector or_fold = compressed[0];
+      WahBitVector and_fold = compressed[0];
       for (size_t i = 1; i < k; ++i) {
         or_oracle.OrWith(plain[i]);
         and_oracle.AndWith(plain[i]);
@@ -81,8 +76,8 @@ TYPED_TEST(WahMultiwayTest, MatchesPairwiseFoldAndOracle) {
         and_fold = and_fold.And(compressed[i]);
       }
 
-      const Vec or_many = Vec::OrMany(ops);
-      const Vec and_many = Vec::AndMany(ops);
+      const WahBitVector or_many = WahBitVector::OrMany(ops);
+      const WahBitVector and_many = WahBitVector::AndMany(ops);
       EXPECT_TRUE(or_many.Decompress() == or_oracle) << "n=" << n << " k=" << k;
       EXPECT_TRUE(and_many.Decompress() == and_oracle)
           << "n=" << n << " k=" << k;
@@ -90,64 +85,63 @@ TYPED_TEST(WahMultiwayTest, MatchesPairwiseFoldAndOracle) {
       EXPECT_EQ(or_many.SizeInBytes(), or_fold.SizeInBytes());
       EXPECT_EQ(and_many.SizeInBytes(), and_fold.SizeInBytes());
 
-      EXPECT_EQ(Vec::OrManyCount(ops), or_oracle.Count());
-      EXPECT_EQ(Vec::AndManyCount(ops), and_oracle.Count());
-      EXPECT_EQ(Vec::AndCount(compressed[0], compressed[k - 1]),
+      EXPECT_EQ(WahBitVector::OrManyCount(ops), or_oracle.Count());
+      EXPECT_EQ(WahBitVector::AndManyCount(ops), and_oracle.Count());
+      EXPECT_EQ(WahBitVector::AndCount(compressed[0], compressed[k - 1]),
                 And(plain[0], plain[k - 1]).Count());
     }
   }
 }
 
-TYPED_TEST(WahMultiwayTest, NegatedOperandsMatchExplicitNot) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahMultiwayTest, NegatedOperandsMatchExplicitNot) {
   for (uint64_t n : {31u, 100u, 4096u}) {
     Rng rng(n + 7);
     const std::vector<BitVector> plain = MakeOperands(rng, 5, n);
-    std::vector<Vec> compressed;
-    for (const BitVector& b : plain) compressed.push_back(Vec::Compress(b));
+    std::vector<WahBitVector> compressed;
+    for (const BitVector& b : plain) {
+      compressed.push_back(WahBitVector::Compress(b));
+    }
 
-    std::vector<typename Vec::Operand> ops;
+    std::vector<WahBitVector::Operand> ops;
     BitVector oracle(n, true);
     for (size_t i = 0; i < plain.size(); ++i) {
       const bool negate = i % 2 == 1;
       ops.push_back({&compressed[i], negate});
       oracle.AndWith(negate ? Not(plain[i]) : plain[i]);
     }
-    const std::span<const typename Vec::Operand> span(ops.data(), ops.size());
-    EXPECT_TRUE(Vec::AndMany(span).Decompress() == oracle) << "n=" << n;
-    EXPECT_EQ(Vec::AndManyCount(span), oracle.Count());
+    const std::span<const WahBitVector::Operand> span(ops.data(), ops.size());
+    EXPECT_TRUE(WahBitVector::AndMany(span).Decompress() == oracle)
+        << "n=" << n;
+    EXPECT_EQ(WahBitVector::AndManyCount(span), oracle.Count());
   }
 }
 
-TYPED_TEST(WahMultiwayTest, PureFillOperands) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahMultiwayTest, PureFillOperands) {
   const uint64_t n = 1000;
-  const Vec zeros = Vec::Fill(n, false);
-  const Vec ones = Vec::Fill(n, true);
-  const std::vector<const Vec*> mixed = {&zeros, &ones, &zeros};
-  const std::span<const Vec* const> ops(mixed.data(), mixed.size());
-  EXPECT_EQ(Vec::OrMany(ops).Count(), n);
-  EXPECT_EQ(Vec::AndMany(ops).Count(), 0u);
-  EXPECT_EQ(Vec::OrManyCount(ops), n);
-  EXPECT_EQ(Vec::AndManyCount(ops), 0u);
+  const WahBitVector zeros = WahBitVector::Fill(n, false);
+  const WahBitVector ones = WahBitVector::Fill(n, true);
+  const std::vector<const WahBitVector*> mixed = {&zeros, &ones, &zeros};
+  const std::span<const WahBitVector* const> ops(mixed.data(), mixed.size());
+  EXPECT_EQ(WahBitVector::OrMany(ops).Count(), n);
+  EXPECT_EQ(WahBitVector::AndMany(ops).Count(), 0u);
+  EXPECT_EQ(WahBitVector::OrManyCount(ops), n);
+  EXPECT_EQ(WahBitVector::AndManyCount(ops), 0u);
 
-  const std::vector<const Vec*> all_zero = {&zeros, &zeros};
-  EXPECT_EQ(Vec::OrMany(std::span<const Vec* const>(all_zero.data(),
-                                                    all_zero.size()))
-                .Count(),
-            0u);
+  const std::vector<const WahBitVector*> all_zero = {&zeros, &zeros};
+  const std::span<const WahBitVector* const> zero_ops(all_zero.data(),
+                                                      all_zero.size());
+  EXPECT_EQ(WahBitVector::OrMany(zero_ops).Count(), 0u);
 }
 
-TYPED_TEST(WahMultiwayTest, SingleOperandIsACopy) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahMultiwayTest, SingleOperandIsACopy) {
   Rng rng(99);
   const BitVector bits = RandomRuns(rng, 500, 0.1);
-  const Vec v = Vec::Compress(bits);
-  const std::vector<const Vec*> one = {&v};
-  const std::span<const Vec* const> ops(one.data(), one.size());
-  EXPECT_TRUE(Vec::OrMany(ops).Decompress() == bits);
-  EXPECT_TRUE(Vec::AndMany(ops).Decompress() == bits);
-  EXPECT_EQ(Vec::OrManyCount(ops), bits.Count());
+  const WahBitVector v = WahBitVector::Compress(bits);
+  const std::vector<const WahBitVector*> one = {&v};
+  const std::span<const WahBitVector* const> ops(one.data(), one.size());
+  EXPECT_TRUE(WahBitVector::OrMany(ops).Decompress() == bits);
+  EXPECT_TRUE(WahBitVector::AndMany(ops).Decompress() == bits);
+  EXPECT_EQ(WahBitVector::OrManyCount(ops), bits.Count());
 }
 
 using WahMultiwayDeathTest = ::testing::Test;
@@ -171,12 +165,11 @@ TEST(WahMultiwayDeathTest, SizeMismatchAborts) {
   EXPECT_DEATH(WahBitVector::AndCount(a, b), "INCDB_CHECK failed");
 }
 
-TYPED_TEST(WahMultiwayTest, ForEachSetBitVisitsEverySetBitInOrder) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahMultiwayTest, ForEachSetBitVisitsEverySetBitInOrder) {
   for (uint64_t n : {0u, 1u, 63u, 977u, 20000u}) {
     Rng rng(n + 3);
     const BitVector bits = RandomRuns(rng, n, 0.05);
-    const Vec v = Vec::Compress(bits);
+    const WahBitVector v = WahBitVector::Compress(bits);
     std::vector<uint32_t> visited;
     v.ForEachSetBit(
         [&](uint64_t i) { visited.push_back(static_cast<uint32_t>(i)); });

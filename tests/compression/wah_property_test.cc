@@ -102,7 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
         WahPropertyCase{100, 0.05, 0.5}, WahPropertyCase{961, 0.001, 0.999},
         WahPropertyCase{1000, 0.02, 0.02}, WahPropertyCase{4096, 0.5, 0.5},
         WahPropertyCase{10000, 0.001, 0.01},
-        WahPropertyCase{100000, 0.1, 0.0}));
+        WahPropertyCase{100000, 0.1, 0.0}, WahPropertyCase{0, 1.0, 0.0},
+        WahPropertyCase{64, 1.0, 0.005}, WahPropertyCase{127, 0.005, 1.0},
+        WahPropertyCase{50000, 0.005, 0.5}));
 
 }  // namespace
 }  // namespace incdb

@@ -2,8 +2,8 @@
 // fused WAH kernels must produce identical bits AND the identical canonical
 // compressed form under every dispatch level the CPU supports and every
 // dense-block threshold — always-dense (0.0), the production default, and
-// never-dense (>1, the pure compressed-form engine) — across word widths,
-// negated operands and density mixes. Also pins down WahOpStats accounting.
+// never-dense (>1, the pure compressed-form engine) — across negated
+// operands and density mixes. Also pins down WahOpStats accounting.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +16,6 @@
 
 namespace incdb {
 namespace {
-
-template <typename WordT>
-class WahSimdTest : public ::testing::Test {};
-
-using WordTypes = ::testing::Types<uint32_t, uint64_t>;
-TYPED_TEST_SUITE(WahSimdTest, WordTypes);
 
 // Restores dispatch level and dense threshold on scope exit so test order
 // cannot leak configuration.
@@ -93,19 +87,20 @@ std::vector<BitVector> MakeOperands(Rng& rng, size_t k, uint64_t n) {
 // SIMD decode path, and the default exercises the mixed regime.
 const double kThresholds[] = {2.0, 0.0, -1.0};  // -1 sentinel: default
 
-TYPED_TEST(WahSimdTest, HybridEngineIsBitIdenticalAcrossLevelsAndThresholds) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahSimdTest, HybridEngineIsBitIdenticalAcrossLevelsAndThresholds) {
   ConfigGuard guard;
   const double default_threshold = wah_internal::DenseBlockThreshold();
   for (uint64_t n : {63u, 977u, 70000u, 200001u}) {
     for (size_t k : {3u, 5u, 9u}) {
       Rng rng(n * 17 + k);
       const std::vector<BitVector> plain = MakeOperands(rng, k, n);
-      std::vector<Vec> compressed;
-      std::vector<const Vec*> ptrs;
-      for (const BitVector& b : plain) compressed.push_back(Vec::Compress(b));
-      for (const Vec& v : compressed) ptrs.push_back(&v);
-      const std::span<const Vec* const> ops(ptrs.data(), ptrs.size());
+      std::vector<WahBitVector> compressed;
+      std::vector<const WahBitVector*> ptrs;
+      for (const BitVector& b : plain) {
+        compressed.push_back(WahBitVector::Compress(b));
+      }
+      for (const WahBitVector& v : compressed) ptrs.push_back(&v);
+      const std::span<const WahBitVector* const> ops(ptrs.data(), ptrs.size());
 
       BitVector or_oracle = plain[0];
       BitVector and_oracle = plain[0];
@@ -117,8 +112,8 @@ TYPED_TEST(WahSimdTest, HybridEngineIsBitIdenticalAcrossLevelsAndThresholds) {
       // Reference run: pure compressed-form engine, scalar kernels.
       simd::ForceLevelForTesting(simd::Level::kScalar);
       wah_internal::SetDenseBlockThresholdForTesting(2.0);
-      const Vec or_ref = Vec::OrMany(ops);
-      const Vec and_ref = Vec::AndMany(ops);
+      const WahBitVector or_ref = WahBitVector::OrMany(ops);
+      const WahBitVector and_ref = WahBitVector::AndMany(ops);
       ASSERT_TRUE(or_ref.Decompress() == or_oracle) << "n=" << n << " k=" << k;
       ASSERT_TRUE(and_ref.Decompress() == and_oracle)
           << "n=" << n << " k=" << k;
@@ -128,8 +123,8 @@ TYPED_TEST(WahSimdTest, HybridEngineIsBitIdenticalAcrossLevelsAndThresholds) {
           simd::ForceLevelForTesting(level);
           wah_internal::SetDenseBlockThresholdForTesting(
               threshold < 0 ? default_threshold : threshold);
-          const Vec or_many = Vec::OrMany(ops);
-          const Vec and_many = Vec::AndMany(ops);
+          const WahBitVector or_many = WahBitVector::OrMany(ops);
+          const WahBitVector and_many = WahBitVector::AndMany(ops);
           // Identical bits AND identical canonical compressed form.
           EXPECT_TRUE(or_many.Decompress() == or_oracle)
               << "n=" << n << " k=" << k << " t=" << threshold
@@ -139,88 +134,90 @@ TYPED_TEST(WahSimdTest, HybridEngineIsBitIdenticalAcrossLevelsAndThresholds) {
               << " level=" << simd::LevelToString(level);
           EXPECT_EQ(or_many.SizeInBytes(), or_ref.SizeInBytes());
           EXPECT_EQ(and_many.SizeInBytes(), and_ref.SizeInBytes());
-          EXPECT_EQ(Vec::OrManyCount(ops), or_oracle.Count());
-          EXPECT_EQ(Vec::AndManyCount(ops), and_oracle.Count());
+          EXPECT_EQ(WahBitVector::OrManyCount(ops), or_oracle.Count());
+          EXPECT_EQ(WahBitVector::AndManyCount(ops), and_oracle.Count());
         }
       }
     }
   }
 }
 
-TYPED_TEST(WahSimdTest, NegatedOperandsAcrossLevelsAndThresholds) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahSimdTest, NegatedOperandsAcrossLevelsAndThresholds) {
   ConfigGuard guard;
   for (uint64_t n : {977u, 70000u}) {
     Rng rng(n + 3);
     const std::vector<BitVector> plain = MakeOperands(rng, 6, n);
-    std::vector<Vec> compressed;
-    for (const BitVector& b : plain) compressed.push_back(Vec::Compress(b));
+    std::vector<WahBitVector> compressed;
+    for (const BitVector& b : plain) {
+      compressed.push_back(WahBitVector::Compress(b));
+    }
 
-    std::vector<typename Vec::Operand> ops;
+    std::vector<WahBitVector::Operand> ops;
     BitVector and_oracle(n, true);
     for (size_t i = 0; i < plain.size(); ++i) {
       const bool negate = i % 2 == 1;
       ops.push_back({&compressed[i], negate});
       and_oracle.AndWith(negate ? Not(plain[i]) : plain[i]);
     }
-    const std::span<const typename Vec::Operand> span(ops.data(), ops.size());
+    const std::span<const WahBitVector::Operand> span(ops.data(), ops.size());
 
     for (simd::Level level : AvailableLevels()) {
       for (double threshold : {2.0, 0.0}) {
         simd::ForceLevelForTesting(level);
         wah_internal::SetDenseBlockThresholdForTesting(threshold);
-        EXPECT_TRUE(Vec::AndMany(span).Decompress() == and_oracle)
+        EXPECT_TRUE(WahBitVector::AndMany(span).Decompress() == and_oracle)
             << "n=" << n << " t=" << threshold
             << " level=" << simd::LevelToString(level);
-        EXPECT_EQ(Vec::AndManyCount(span), and_oracle.Count());
+        EXPECT_EQ(WahBitVector::AndManyCount(span), and_oracle.Count());
       }
     }
   }
 }
 
-TYPED_TEST(WahSimdTest, AllNegatedOperands) {
+TEST(WahSimdTest, AllNegatedOperands) {
   // No non-negated lead operand: the dense path must seed the accumulator
   // with the op identity and fold every operand through the NOT kernels.
-  using Vec = BasicWahBitVector<TypeParam>;
   ConfigGuard guard;
   const uint64_t n = 70000;
   Rng rng(11);
   const std::vector<BitVector> plain = MakeOperands(rng, 4, n);
-  std::vector<Vec> compressed;
-  for (const BitVector& b : plain) compressed.push_back(Vec::Compress(b));
-  std::vector<typename Vec::Operand> ops;
+  std::vector<WahBitVector> compressed;
+  for (const BitVector& b : plain) {
+    compressed.push_back(WahBitVector::Compress(b));
+  }
+  std::vector<WahBitVector::Operand> ops;
   BitVector oracle(n, true);
   for (size_t i = 0; i < plain.size(); ++i) {
     ops.push_back({&compressed[i], true});
     oracle.AndWith(Not(plain[i]));
   }
-  const std::span<const typename Vec::Operand> span(ops.data(), ops.size());
+  const std::span<const WahBitVector::Operand> span(ops.data(), ops.size());
   for (double threshold : {2.0, 0.0}) {
     wah_internal::SetDenseBlockThresholdForTesting(threshold);
-    EXPECT_TRUE(Vec::AndMany(span).Decompress() == oracle) << threshold;
-    EXPECT_EQ(Vec::AndManyCount(span), oracle.Count()) << threshold;
+    EXPECT_TRUE(WahBitVector::AndMany(span).Decompress() == oracle)
+        << threshold;
+    EXPECT_EQ(WahBitVector::AndManyCount(span), oracle.Count()) << threshold;
   }
 }
 
-TYPED_TEST(WahSimdTest, OpStatsCountDenseWindows) {
-  using Vec = BasicWahBitVector<TypeParam>;
+TEST(WahSimdTest, OpStatsCountDenseWindows) {
   ConfigGuard guard;
   const double default_threshold = wah_internal::DenseBlockThreshold();
   const uint64_t n = 200000;
   const size_t k = 4;
   Rng rng(5);
-  std::vector<Vec> compressed;
-  std::vector<const Vec*> ptrs;
+  std::vector<WahBitVector> compressed;
+  std::vector<const WahBitVector*> ptrs;
   for (size_t i = 0; i < k; ++i) {
-    compressed.push_back(Vec::Compress(RandomBits(rng, n, 0.5)));
+    compressed.push_back(WahBitVector::Compress(RandomBits(rng, n, 0.5)));
   }
-  for (const Vec& v : compressed) ptrs.push_back(&v);
-  const std::span<const Vec* const> ops(ptrs.data(), ptrs.size());
+  for (const WahBitVector& v : compressed) ptrs.push_back(&v);
+  const std::span<const WahBitVector* const> ops(ptrs.data(), ptrs.size());
 
   // Never-dense: zero dense windows, nothing decoded.
   wah_internal::SetDenseBlockThresholdForTesting(2.0);
   WahOpStats sparse_stats;
-  Vec::OrManyCount(ops, &sparse_stats);
+  WahBitVector::OrManyCount(ops, &sparse_stats);
   EXPECT_EQ(sparse_stats.dense_windows, 0u);
   EXPECT_EQ(sparse_stats.words_decoded, 0u);
 
@@ -231,20 +228,20 @@ TYPED_TEST(WahSimdTest, OpStatsCountDenseWindows) {
   ASSERT_LT(default_threshold, 1.0);  // the production default enables it
   wah_internal::SetDenseBlockThresholdForTesting(default_threshold);
   WahOpStats dense_stats;
-  const uint64_t count = Vec::OrManyCount(ops, &dense_stats);
+  const uint64_t count = WahBitVector::OrManyCount(ops, &dense_stats);
   EXPECT_GT(dense_stats.dense_windows, 0u);
-  const uint64_t group_bits = Vec::kGroupBits;
+  const uint64_t group_bits = WahBitVector::kGroupBits;
   EXPECT_EQ(dense_stats.words_decoded, (n / group_bits) * k);
 
   // Stats merge and aggregate across kernels.
   WahOpStats merged = sparse_stats;
   merged.MergeFrom(dense_stats);
   EXPECT_EQ(merged.dense_windows, dense_stats.dense_windows);
-  Vec::AndMany(ops, &merged);
+  WahBitVector::AndMany(ops, &merged);
   EXPECT_GT(merged.dense_windows, dense_stats.dense_windows);
 
   // And the counters never change results.
-  EXPECT_EQ(count, Vec::OrManyCount(ops));
+  EXPECT_EQ(count, WahBitVector::OrManyCount(ops));
 }
 
 }  // namespace

@@ -9,12 +9,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "query/workload.h"
 #include "storage/format.h"
 #include "table/generator.h"
 
@@ -107,6 +109,57 @@ TEST_P(StorageRoundTripTest, EveryQueryShapeSurvivesSaveOpen) {
     EXPECT_EQ(db.num_rows(), reopened->num_rows());
     EXPECT_TRUE(reopened->HasIndex(GetParam()));
     ExpectSameAnswers(db, reopened.value());
+  }
+}
+
+TEST_P(StorageRoundTripTest, IndexSizeInBytesSurvivesSaveOpen) {
+  // SizeInBytes() is the paper's index-size metric; an index served
+  // zero-copy from the store must report the same figure it was built with.
+  Database db = MakeDatabase(/*seed=*/13);
+  ASSERT_TRUE(db.BuildIndex(GetParam()).ok());
+  const uint64_t built_bytes = db.IndexSizeInBytes();
+  ASSERT_GT(built_bytes, 0u);
+  const std::string dir = StoreDir("size");
+  ASSERT_TRUE(db.Save(dir).ok());
+  auto reopened = Database::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->IndexSizeInBytes(), built_bytes);
+}
+
+TEST_P(StorageRoundTripTest, GeneratedWorkloadMatchesScanAfterOpen) {
+  // Random multi-dimensional range queries over the reopened index must
+  // agree with a sequential scan of the same rows, under both semantics.
+  Database db = MakeDatabase(/*seed=*/17);
+  ASSERT_TRUE(db.BuildIndex(GetParam()).ok());
+  const std::string dir = StoreDir("workload");
+  ASSERT_TRUE(db.Save(dir).ok());
+  auto reopened = Database::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const Database scan = MakeDatabase(/*seed=*/17);
+  const Schema& schema = scan.table().schema();
+
+  for (MissingSemantics semantics :
+       {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
+    WorkloadParams params;
+    params.num_queries = 15;
+    params.dims = 2;
+    params.global_selectivity = 0.05;
+    params.semantics = semantics;
+    const auto queries = GenerateWorkload(scan.table(), params);
+    ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+    for (const RangeQuery& query : queries.value()) {
+      std::vector<NamedTerm> terms;
+      for (const QueryTerm& term : query.terms) {
+        terms.push_back({schema.attribute(term.attribute).name,
+                         term.interval.lo, term.interval.hi});
+      }
+      const QueryRequest request = QueryRequest::Terms(terms, semantics);
+      const auto expected = scan.Run(request);
+      const auto actual = reopened->Run(request);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(expected->row_ids, actual->row_ids) << query.ToString();
+    }
   }
 }
 
@@ -278,6 +331,50 @@ TEST(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectSameAnswers(db, reopened.value());
+}
+
+TEST(StorageRoundTrip, OpenRejectsMissingAndGarbageStores) {
+  EXPECT_FALSE(Database::Open(StoreDir("absent")).ok());
+  const std::string dir = StoreDir("garbage");
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  EXPECT_FALSE(Database::Open(dir).ok());
+  std::ofstream(dir + "/" + storage::kManifestFile, std::ios::binary)
+      << "this is not a store";
+  EXPECT_FALSE(Database::Open(dir).ok());
+}
+
+uint64_t DirectoryBytes(const std::string& dir) {
+  uint64_t bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) bytes += entry.file_size();
+  }
+  return bytes;
+}
+
+TEST(StorageRoundTrip, IndexBytesOnDiskTrackSizeInBytes) {
+  // The paper's index-size metric is "the size of the requisite index files
+  // on disk" (DESIGN.md section 8). The store adds a BEE index as its WAH
+  // payload plus per-bitmap headers, so the bytes it adds to a store
+  // directory must cover SizeInBytes() with only small overhead.
+  const DatasetSpec spec = UniformSpec(5000, 30, 0.2, 3, 203);
+  Database plain =
+      std::move(Database::FromTable(GenerateTable(spec).value()).value());
+  Database indexed =
+      std::move(Database::FromTable(GenerateTable(spec).value()).value());
+  ASSERT_TRUE(indexed.BuildIndex(IndexKind::kBitmapEquality).ok());
+  const uint64_t index_bytes = indexed.IndexSizeInBytes();
+  ASSERT_GT(index_bytes, 0u);
+
+  const std::string plain_dir = StoreDir("size_plain");
+  const std::string indexed_dir = StoreDir("size_bee");
+  ASSERT_TRUE(plain.Save(plain_dir).ok());
+  ASSERT_TRUE(indexed.Save(indexed_dir).ok());
+  const uint64_t plain_bytes = DirectoryBytes(plain_dir);
+  const uint64_t indexed_bytes = DirectoryBytes(indexed_dir);
+  ASSERT_GT(indexed_bytes, plain_bytes);
+  const uint64_t on_disk = indexed_bytes - plain_bytes;
+  EXPECT_GE(on_disk, index_bytes);
+  EXPECT_LT(on_disk, index_bytes + index_bytes / 2 + 4096);
 }
 
 TEST(StorageRoundTrip, MissingRatesComeFromCatalogNotRescan) {

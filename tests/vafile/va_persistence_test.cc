@@ -1,9 +1,7 @@
-// Save/Load and incremental AppendRow for the VA-file.
+// Incremental AppendRow for the VA-file. Persistence goes through the
+// store (tests/storage/).
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "core/executor.h"
 #include "query/workload.h"
@@ -12,74 +10,6 @@
 
 namespace incdb {
 namespace {
-
-class VaPersistenceTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-  std::string TempPath(const std::string& name) {
-    path_ = ::testing::TempDir() + "/" + name;
-    return path_;
-  }
-  std::string path_;
-};
-
-TEST_F(VaPersistenceTest, SaveLoadRoundTrip) {
-  const Table table = GenerateTable(UniformSpec(1200, 20, 0.2, 4, 301)).value();
-  for (VaQuantization quantization :
-       {VaQuantization::kUniform, VaQuantization::kEquiDepth}) {
-    for (int bits : {0, 3}) {
-      const VaFile original =
-          VaFile::Build(table, {quantization, bits}).value();
-      const std::string path = TempPath("va.idx");
-      ASSERT_TRUE(original.Save(path).ok());
-      const auto loaded = VaFile::Load(path, table);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(loaded->Name(), original.Name());
-      EXPECT_EQ(loaded->SizeInBytes(), original.SizeInBytes());
-      for (uint64_t r = 0; r < 50; ++r) {
-        for (size_t a = 0; a < 4; ++a) {
-          EXPECT_EQ(loaded->StoredCode(r, a), original.StoredCode(r, a));
-        }
-      }
-      WorkloadParams params;
-      params.num_queries = 15;
-      params.dims = 2;
-      params.global_selectivity = 0.05;
-      const auto queries = GenerateWorkload(table, params);
-      ASSERT_TRUE(queries.ok());
-      EXPECT_TRUE(
-          VerifyAgainstOracle(loaded.value(), table, queries.value()).ok());
-    }
-  }
-}
-
-TEST_F(VaPersistenceTest, LoadRejectsMismatchedTable) {
-  const Table table = GenerateTable(UniformSpec(500, 20, 0.2, 4, 303)).value();
-  const VaFile original = VaFile::Build(table).value();
-  const std::string path = TempPath("va_mismatch.idx");
-  ASSERT_TRUE(original.Save(path).ok());
-
-  // Wrong attribute count.
-  const Table narrow = GenerateTable(UniformSpec(500, 20, 0.2, 3, 303)).value();
-  EXPECT_FALSE(VaFile::Load(path, narrow).ok());
-  // Wrong cardinality.
-  const Table different =
-      GenerateTable(UniformSpec(500, 21, 0.2, 4, 303)).value();
-  EXPECT_FALSE(VaFile::Load(path, different).ok());
-  // Fewer rows than the approximation covers.
-  const Table short_table =
-      GenerateTable(UniformSpec(100, 20, 0.2, 4, 303)).value();
-  EXPECT_FALSE(VaFile::Load(path, short_table).ok());
-}
-
-TEST_F(VaPersistenceTest, LoadRejectsGarbage) {
-  const Table table = GenerateTable(UniformSpec(10, 5, 0.0, 1, 305)).value();
-  const std::string path = TempPath("va_garbage.idx");
-  std::ofstream(path, std::ios::binary) << "nonsense";
-  EXPECT_FALSE(VaFile::Load(path, table).ok());
-}
 
 TEST(VaAppendTest, IncrementalEqualsBatchForUniformBins) {
   const Table table = GenerateTable(UniformSpec(600, 15, 0.3, 3, 307)).value();
