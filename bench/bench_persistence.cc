@@ -9,9 +9,16 @@
 // Save are the ones allowed to scale. First-query time on a cold open is
 // reported separately because it is where the page-ins actually land.
 //
+// Two more tables price what a build -> Save -> verified Open pays besides
+// the I/O: the BuildIndex time of every bitmap and VA-file kind at the
+// largest size (single-threaded, each kind on its own database), and the
+// throughput of the section checksum (storage::Crc32), which Save runs over
+// every byte written and the verified Open over every byte read.
+//
 // Usage: bench_persistence [--json <path>]
 // With --json, per-size timings are also written as the machine-readable
-// BENCH_persistence.json trajectory file.
+// BENCH_persistence.json trajectory file. No baseline of that file is
+// committed, so the bench-regression gate reports it without gating it.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -26,6 +33,8 @@
 #include "bench/bench_common.h"
 #include "common/timer.h"
 #include "core/database.h"
+#include "core/index_factory.h"
+#include "storage/checksum.h"
 #include "table/generator.h"
 
 namespace incdb {
@@ -35,7 +44,7 @@ uint64_t g_sink = 0;
 
 constexpr const char* kStoreDir = "bench_persistence_store.incdb";
 
-Database MustMakeDatabase(uint64_t num_rows) {
+Table MustMakeTable(uint64_t num_rows) {
   DatasetSpec spec;
   spec.seed = 20060329;  // EDBT'06
   spec.num_rows = num_rows;
@@ -48,19 +57,77 @@ Database MustMakeDatabase(uint64_t num_rows) {
     std::fprintf(stderr, "generate: %s\n", table.status().ToString().c_str());
     std::exit(1);
   }
-  auto db = Database::FromTable(std::move(table).value());
+  return std::move(table).value();
+}
+
+Database MustFromTable(Table table) {
+  auto db = Database::FromTable(std::move(table));
   if (!db.ok()) {
     std::fprintf(stderr, "database: %s\n", db.status().ToString().c_str());
     std::exit(1);
   }
-  for (IndexKind kind : {IndexKind::kBitmapEquality, IndexKind::kVaFile}) {
-    const Status status = db->BuildIndex(kind);
-    if (!status.ok()) {
-      std::fprintf(stderr, "index: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-  }
   return std::move(db).value();
+}
+
+void MustBuildIndex(Database* db, IndexKind kind) {
+  const Status status = db->BuildIndex(kind);
+  if (!status.ok()) {
+    std::fprintf(stderr, "index: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+Database MustMakeDatabase(uint64_t num_rows) {
+  Database db = MustFromTable(MustMakeTable(num_rows));
+  MustBuildIndex(&db, IndexKind::kBitmapEquality);
+  MustBuildIndex(&db, IndexKind::kVaFile);
+  return db;
+}
+
+/// BuildIndex time of each bitmap / VA-file kind over `num_rows` rows.
+void BenchBuildIndex(uint64_t num_rows) {
+  const Table table = MustMakeTable(num_rows);
+  const std::string config = "rows=" + std::to_string(num_rows);
+  bench::PrintHeader({"kind", "rows", "build_ms", "index_MB"});
+  for (IndexKind kind :
+       {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
+        IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
+        IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
+        IndexKind::kVaFile}) {
+    Database db = MustFromTable(table);
+    Timer timer;
+    MustBuildIndex(&db, kind);
+    const double build_ms = timer.ElapsedMillis();
+    const uint64_t index_bytes = db.IndexSizeInBytes();
+    const std::string name(IndexKindToString(kind));
+    bench::RecordResult("build_" + name, config, build_ms, index_bytes);
+    bench::PrintRow({name, std::to_string(num_rows),
+                     bench::FormatDouble(build_ms),
+                     bench::FormatBytesAsMB(index_bytes)});
+  }
+}
+
+/// storage::Crc32 throughput over a 64 MB buffer, best of three passes.
+void BenchCrc32() {
+  constexpr uint64_t kBytes = uint64_t{64} << 20;
+  std::vector<unsigned char> buffer(kBytes);
+  for (uint64_t i = 0; i < kBytes; ++i) {
+    buffer[i] = static_cast<unsigned char>(i * 2654435761u >> 13);
+  }
+  double best_ms = 0.0;
+  for (int pass = 0; pass < 3; ++pass) {
+    Timer timer;
+    g_sink += storage::Crc32(buffer.data(), buffer.size());
+    const double ms = timer.ElapsedMillis();
+    if (pass == 0 || ms < best_ms) best_ms = ms;
+  }
+  const double mb_per_s =
+      static_cast<double>(kBytes) / (1 << 20) / (best_ms / 1000.0);
+  bench::RecordResult("crc32", "bytes=" + std::to_string(kBytes), best_ms,
+                      kBytes);
+  std::printf("# crc32: %s MB/s (%s ms per 64 MB)\n",
+              bench::FormatDouble(mb_per_s, 0).c_str(),
+              bench::FormatDouble(best_ms).c_str());
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -176,6 +243,9 @@ int BenchMain(int argc, char** argv) {
                      bench::FormatDouble(steady_ms)});
     RemoveStore();
   }
+
+  BenchBuildIndex(base_rows);
+  BenchCrc32();
 
   if (g_sink == 0) std::fprintf(stderr, "# sink empty (unexpected)\n");
   bench::WriteJson();

@@ -654,13 +654,7 @@ WahBitVector WahBitVector::Compress(const BitVector& bits) {
     }
     const uint32_t literal =
         static_cast<uint32_t>(chunk & bitutil::LowBitsMask(kGroupBits));
-    if (literal == 0) {
-      out.EmitFill(false, 1);
-    } else if (literal == kFullLiteral) {
-      out.EmitFill(true, 1);
-    } else {
-      out.EmitLiteral(literal);
-    }
+    out.EmitGroup(literal);
   }
   out.size_ = full_groups * kGroupBits;
   // Trailing partial group into the active word.
@@ -687,32 +681,45 @@ void WahBitVector::AppendBit(bool bit) {
 
 void WahBitVector::AppendRun(bool bit, uint64_t count) {
   Detach();
-  // Align to a group boundary first.
-  while (count > 0 && active_bits_ != 0) {
-    AppendBit(bit);
-    --count;
+  if (count == 0) return;
+  // Top up the partial active group with one mask.
+  if (active_bits_ != 0) {
+    const int take = static_cast<int>(
+        std::min<uint64_t>(count, kGroupBits - active_bits_));
+    if (bit) {
+      active_word_ |= static_cast<uint32_t>(bitutil::LowBitsMask(take))
+                      << active_bits_;
+    }
+    active_bits_ += take;
+    size_ += static_cast<uint64_t>(take);
+    count -= static_cast<uint64_t>(take);
+    if (active_bits_ < kGroupBits) return;
+    FlushActiveGroup();
   }
+  // Whole groups as one fill, the remainder as the new active word.
   const uint64_t groups = count / kGroupBits;
   if (groups > 0) {
     EmitFill(bit, groups);
     size_ += groups * kGroupBits;
     count -= groups * kGroupBits;
   }
-  while (count > 0) {
-    AppendBit(bit);
-    --count;
-  }
+  active_word_ =
+      bit ? static_cast<uint32_t>(bitutil::LowBitsMask(static_cast<int>(count)))
+          : 0;
+  active_bits_ = static_cast<int>(count);
+  size_ += count;
+}
+
+void WahBitVector::AppendGroup(uint32_t literal) {
+  Detach();
+  INCDB_DCHECK(active_bits_ == 0);
+  EmitGroup(literal);
+  size_ += kGroupBits;
 }
 
 void WahBitVector::FlushActiveGroup() {
   INCDB_DCHECK(active_bits_ == kGroupBits);
-  if (active_word_ == 0) {
-    EmitFill(false, 1);
-  } else if (active_word_ == kFullLiteral) {
-    EmitFill(true, 1);
-  } else {
-    EmitLiteral(active_word_);
-  }
+  EmitGroup(active_word_);
   active_word_ = 0;
   active_bits_ = 0;
 }
@@ -733,6 +740,16 @@ void WahBitVector::EmitFill(bool bit, uint64_t groups) {
     const uint64_t take = std::min(groups, kMaxFillGroups);
     words_.push_back(MakeFill(bit, take));
     groups -= take;
+  }
+}
+
+void WahBitVector::EmitGroup(uint32_t literal) {
+  if (literal == 0) {
+    EmitFill(false, 1);
+  } else if (literal == kFullLiteral) {
+    EmitFill(true, 1);
+  } else {
+    EmitLiteral(literal);
   }
 }
 
@@ -839,13 +856,7 @@ WahBitVector WahBitVector::BinaryOp(const WahBitVector& other,
     } else {
       // At least one side is a literal; process one group.
       const uint32_t r = ApplyOp(a.LiteralView(), b.LiteralView(), op_code);
-      if (r == 0) {
-        out.EmitFill(false, 1);
-      } else if (r == kFullLiteral) {
-        out.EmitFill(true, 1);
-      } else {
-        out.EmitLiteral(r);
-      }
+      out.EmitGroup(r);
       ++groups_emitted;
       a.Consume(1);
       b.Consume(1);
@@ -1020,13 +1031,7 @@ WahBitVector WahBitVector::Not() const {
       out.EmitFill(!FillBit(w), FillGroups(w));
     } else {
       const uint32_t lit = ~w & kFullLiteral;
-      if (lit == 0) {
-        out.EmitFill(false, 1);
-      } else if (lit == kFullLiteral) {
-        out.EmitFill(true, 1);
-      } else {
-        out.EmitLiteral(lit);
-      }
+      out.EmitGroup(lit);
     }
   }
   out.size_ = size_ - static_cast<uint64_t>(active_bits_);

@@ -246,8 +246,16 @@ class WahBitVector {
   /// of the borrowed words into owned storage).
   void AppendBit(bool bit);
 
-  /// Appends `count` copies of `bit`. Detaches a borrowed vector.
+  /// Appends `count` copies of `bit` without a per-bit loop: one mask tops
+  /// up the partial active group, fill words cover the whole groups, one
+  /// assignment starts the next active group. Detaches a borrowed vector.
   void AppendRun(bool bit, uint64_t count);
+
+  /// Appends one whole 31-bit group (`literal`, LSB-first, MSB clear) at a
+  /// group boundary (active_bits() == 0) — the same vector 31 AppendBit
+  /// calls would build, all-zero and all-one groups folded into fills.
+  /// Detaches a borrowed vector.
+  void AppendGroup(uint32_t literal);
 
   /// Number of bits represented.
   uint64_t size() const { return size_; }
@@ -383,9 +391,10 @@ class WahBitVector {
                               WahOpStats* op_stats);
 
   // Emits into words_ only (no size_ accounting), merging adjacent fills
-  // and converting all-zero / all-one literals to fills.
+  // and converting all-zero / all-one literals to fills (EmitGroup).
   void EmitFill(bool bit, uint64_t groups);
   void EmitLiteral(uint32_t literal);
+  void EmitGroup(uint32_t literal);
   void FlushActiveGroup();
 
   enum class OpKind { kAnd, kOr, kXor, kAndNot };

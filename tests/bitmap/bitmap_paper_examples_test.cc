@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <tuple>
+
 #include "bitmap/bitmap_index.h"
 #include "table/table.h"
 
@@ -94,6 +98,7 @@ struct IntervalCase {
   Value hi;
   MissingSemantics semantics;
   std::string expected;  // bit string over the 10 example records
+  std::string tag = "";  // tells apart cases with equal lo/hi/semantics
 };
 
 class PaperIntervalTest
@@ -117,6 +122,21 @@ TEST_P(PaperIntervalTest, EvaluatesPaperFormulaCorrectly) {
 
 constexpr MissingSemantics kMatch = MissingSemantics::kMatch;
 constexpr MissingSemantics kNoMatch = MissingSemantics::kNoMatch;
+
+// Stable names, e.g. BRE_3to3_nomatch, for the gtest name and for the
+// printed parameter (which ctest's test discovery puts in the test ID).
+std::string CaseName(const std::tuple<BitmapEncoding, IntervalCase>& param) {
+  const IntervalCase& c = std::get<1>(param);
+  return std::string(BitmapEncodingToString(std::get<0>(param))) + "_" +
+         std::to_string(c.lo) + "to" + std::to_string(c.hi) +
+         (c.semantics == kMatch ? "_match" : "_nomatch") +
+         (c.tag.empty() ? "" : "_" + c.tag);
+}
+
+void PrintTo(const std::tuple<BitmapEncoding, IntervalCase>& param,
+             std::ostream* os) {
+  *os << CaseName(param);
+}
 
 INSTANTIATE_TEST_SUITE_P(
     BothEncodings, PaperIntervalTest,
@@ -147,7 +167,10 @@ INSTANTIATE_TEST_SUITE_P(
             IntervalCase{1, 5, kMatch, "1111111111"},
             IntervalCase{1, 5, kNoMatch, "1110111101"},
             // The paper's example query "value is 4 or 5" (§4.5).
-            IntervalCase{4, 5, kMatch, "1001110010"})));
+            IntervalCase{4, 5, kMatch, "1001110010", "s45"})),
+    [](const ::testing::TestParamInfo<PaperIntervalTest::ParamType>& info) {
+      return CaseName(info.param);
+    });
 
 // Query execution over the worked example: the paper's §4.5 example query
 // "return all records where value is 4 or 5" under both semantics.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "bitmap/bitmap_index.h"
 #include "core/executor.h"
 #include "query/workload.h"
@@ -69,8 +72,22 @@ std::vector<SweepCase> MakeSweep() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, BitmapOracleTest,
-                         ::testing::ValuesIn(MakeSweep()));
+// Stable names, e.g. BEE_C10_m10_match, for the gtest name and for the
+// printed parameter (which ctest's test discovery puts in the test ID).
+std::string CaseName(const SweepCase& c) {
+  return std::string(BitmapEncodingToString(c.encoding)) + "_C" +
+         std::to_string(c.cardinality) + "_m" +
+         std::to_string(static_cast<int>(c.missing_rate * 100)) +
+         (c.semantics == MissingSemantics::kMatch ? "_match" : "_nomatch");
+}
+
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << CaseName(c); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BitmapOracleTest, ::testing::ValuesIn(MakeSweep()),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      return CaseName(info.param);
+    });
 
 // Exhaustive single-attribute check: every possible interval over a small
 // domain, both encodings, both semantics, against the oracle.

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -55,8 +56,11 @@ class StorageCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapMultiComponent).ok());
     ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapHierarchical).ok());
     // ctest runs each case as its own process in a shared working
-    // directory; the pid keeps parallel cases off each other's files.
+    // directory; the pid keeps parallel cases off each other's files. Every
+    // case starts from an empty directory (and TearDown removes it), so
+    // cases run in one process each save generation 1 too.
     dir_ = "storage_corrupt_" + std::to_string(getpid()) + ".incdb";
+    std::filesystem::remove_all(dir_);
     ASSERT_TRUE(db.Save(dir_).ok());
     // A fresh directory always commits generation 1.
     files_ = {storage::kManifestFile, storage::CatalogFileName(1),
@@ -68,11 +72,7 @@ class StorageCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(Database::Open(dir_).ok());
   }
 
-  void TearDown() override {
-    for (const auto& [file, bytes] : pristine_) {
-      WriteFile(dir_ + "/" + file, bytes);
-    }
-  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   void Restore(const std::string& file) {
     WriteFile(dir_ + "/" + file, pristine_[file]);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "common/rng.h"
 #include "core/executor.h"
@@ -69,7 +71,25 @@ std::vector<VaSweepCase> MakeSweep() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, VaOracleTest, ::testing::ValuesIn(MakeSweep()));
+// Stable names, e.g. uniform_b0_C10_m30_match, for the gtest name and for
+// the printed parameter (which ctest's test discovery puts in the test ID).
+std::string CaseName(const VaSweepCase& c) {
+  return std::string(c.quantization == VaQuantization::kUniform
+                         ? "uniform"
+                         : "equidepth") +
+         "_b" + std::to_string(c.bits_override) + "_C" +
+         std::to_string(c.cardinality) + "_m" +
+         std::to_string(static_cast<int>(c.missing_rate * 100)) +
+         (c.semantics == MissingSemantics::kMatch ? "_match" : "_nomatch");
+}
+
+void PrintTo(const VaSweepCase& c, std::ostream* os) { *os << CaseName(c); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, VaOracleTest, ::testing::ValuesIn(MakeSweep()),
+    [](const ::testing::TestParamInfo<VaSweepCase>& info) {
+      return CaseName(info.param);
+    });
 
 // With the paper's default bit allocation every value has its own bin, so
 // the filter step alone is exact: zero false positives.
