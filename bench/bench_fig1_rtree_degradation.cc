@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "query/query.h"
-#include "rtree/rtree.h"
+#include "repro/rtree.h"
 #include "table/generator.h"
 
 namespace incdb {

@@ -7,8 +7,8 @@
 
 #include "bitvector/bitvector.h"
 #include "common/rng.h"
-#include "compression/bbc_bitvector.h"
 #include "compression/wah_bitvector.h"
+#include "repro/bbc_bitvector.h"
 
 namespace incdb {
 namespace {

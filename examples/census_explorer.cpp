@@ -1,5 +1,5 @@
 // Census-style exploration (§1 example 1): a census table where many
-// attributes allow NULL. Builds every index family over a census-like
+// attributes allow NULL. Builds the served index families over a census-like
 // dataset, compares their sizes and query times, and cross-checks results —
 // a miniature of the paper's real-data experiment you can poke at.
 //
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   bool first = true;
   for (IndexKind kind :
        {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-        IndexKind::kBitmapRange, IndexKind::kVaFile, IndexKind::kVaPlusFile,
-        IndexKind::kMosaic}) {
+        IndexKind::kBitmapRange, IndexKind::kVaFile,
+        IndexKind::kVaPlusFile}) {
     auto index_result = CreateIndex(kind, table);
     if (!index_result.ok()) {
       std::fprintf(stderr, "%s: %s\n",

@@ -63,11 +63,6 @@ void BinaryWriter::WriteU64Vector(const std::vector<uint64_t>& values) {
   for (uint64_t v : values) WriteU64(v);
 }
 
-void BinaryWriter::WriteI32Vector(const std::vector<int32_t>& values) {
-  WriteU64(values.size());
-  for (int32_t v : values) WriteI32(v);
-}
-
 Status BinaryWriter::status() const {
   if (!out_) return Status::IOError("stream write failed");
   return Status::OK();
@@ -144,19 +139,6 @@ Result<std::vector<uint64_t>> BinaryReader::ReadU64Vector(uint64_t max_len) {
   std::vector<uint64_t> values(len);
   for (uint64_t i = 0; i < len; ++i) {
     INCDB_ASSIGN_OR_RETURN(values[i], ReadU64());
-  }
-  return values;
-}
-
-Result<std::vector<int32_t>> BinaryReader::ReadI32Vector(uint64_t max_len) {
-  INCDB_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
-  if (len > max_len) {
-    return Status::IOError("vector length " + std::to_string(len) +
-                           " exceeds limit (corrupted input?)");
-  }
-  std::vector<int32_t> values(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    INCDB_ASSIGN_OR_RETURN(values[i], ReadI32());
   }
   return values;
 }

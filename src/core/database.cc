@@ -96,25 +96,9 @@ Result<Database> Database::Open(const std::string& dir,
   db.deleted_ = store.deleted;
   db.num_deleted_ = store.num_deleted;
   db.missing_counts_ = std::move(store.missing_counts);
-  // Index kinds persisted as markers (no stable wire form) are rebuilt
-  // over the mapped table; loaded entries are already ascending by kind.
-  std::vector<internal::SnapshotIndexEntry> entries = std::move(store.indexes);
-  for (IndexKind kind : store.rebuild_kinds) {
-    INCDB_ASSIGN_OR_RETURN(std::unique_ptr<IncompleteIndex> index,
-                           CreateIndex(kind, *db.table_));
-    internal::SnapshotIndexEntry entry;
-    entry.kind = kind;
-    entry.index = std::shared_ptr<const IncompleteIndex>(std::move(index));
-    entry.covered_rows = db.table_->num_rows();
-    auto pos = std::find_if(entries.begin(), entries.end(),
-                            [kind](const internal::SnapshotIndexEntry& e) {
-                              return e.kind >= kind;
-                            });
-    entries.insert(pos, std::move(entry));
-  }
   db.registry_ =
       std::make_shared<const std::vector<internal::SnapshotIndexEntry>>(
-          std::move(entries));
+          std::move(store.indexes));
   db.epoch_ = 0;
   db.Publish();
   return db;

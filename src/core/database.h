@@ -84,8 +84,7 @@ class Database {
   /// Opens a store directory written by Save and publishes it as epoch 0.
   /// The table and the bitmap / VA-file payloads are zero-copy views into
   /// an mmap'd segment (pages fault in lazily on first access), so opening
-  /// is fast regardless of data size; indexes without a stable wire form
-  /// (the bitstring-augmented R-tree) are rebuilt. Subsequent Insert /
+  /// is fast regardless of data size. Subsequent Insert /
   /// Delete / BuildIndex work exactly as on an in-memory database. With
   /// `verify_checksums` (the default) every section's CRC-32 is checked up
   /// front — one pass over the data — and all corruption surfaces as a

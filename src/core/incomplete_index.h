@@ -29,9 +29,11 @@ struct QueryStats {
   uint64_t candidates = 0;
   /// VA-file: candidates eliminated by the exact refinement step.
   uint64_t false_positives = 0;
-  /// Tree indexes (R-tree, B+-tree, baselines): nodes visited.
+  /// Tree baselines reproduced in src/repro/ (MOSAIC's B+-trees, the
+  /// bitstring-augmented R-tree): nodes visited. No served kind sets it.
   uint64_t nodes_accessed = 0;
-  /// Bitstring-augmented baseline: number of subqueries executed (up to 2^k).
+  /// src/repro/ baselines: one-dimensional (MOSAIC, 2 per term) or
+  /// multi-dimensional (bitstring-augmented, up to 2^k) subqueries run.
   uint64_t subqueries = 0;
   /// Scans (the plan layer's delta scan over the appended tail and the
   /// sequential-scan fallback): rows in the scanned range. Scans also
@@ -82,8 +84,10 @@ struct QueryStats {
 };
 
 /// Common interface for every query-answering structure in incdb: the
-/// paper's techniques (BEE, BRE, VA-file), the baselines (MOSAIC,
-/// bitstring-augmented, R-tree) and the sequential scan.
+/// served kinds of core/index_factory.h (the paper's techniques, their
+/// encoding variants and the sequential scan) and the baselines the paper
+/// argues against, which src/repro/ keeps for the reproduction benches
+/// (MOSAIC, bitstring-augmented).
 ///
 /// All implementations return *exact* results (any approximate filter is
 /// followed by a refinement step), matching the paper's 100%-precision
@@ -108,9 +112,8 @@ class IncompleteIndex {
 
   /// Incrementally indexes one appended record (`row[i]` = value of
   /// attribute i, kMissingValue for missing). The base table must be
-  /// extended with the same row first. Default: NotSupported — bitmap
-  /// indexes, VA-files, MOSAIC, the bitstring-augmented index and the scan
-  /// all override this.
+  /// extended with the same row first. Default: NotSupported — every
+  /// served kind overrides this; the src/repro/ baselines do not.
   virtual Status AppendRow(const std::vector<Value>& row) {
     (void)row;
     return Status::NotSupported(Name() + " does not support appends");

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "baselines/bitstring_augmented.h"
-#include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
 #include "bitmap/composite_index.h"
 #include "core/scan_index.h"
@@ -14,124 +12,132 @@ namespace incdb {
 
 namespace {
 
+using IndexResult = Result<std::unique_ptr<IncompleteIndex>>;
+
 // Moves a Result<T> of a concrete index into a unique_ptr of the interface.
 template <typename T>
-Result<std::unique_ptr<IncompleteIndex>> Wrap(Result<T> result) {
+IndexResult Wrap(Result<T> result) {
   if (!result.ok()) return result.status();
   return std::unique_ptr<IncompleteIndex>(
       std::make_unique<T>(std::move(result).value()));
 }
 
+IndexResult BuildScan(const Table& table) {
+  return std::unique_ptr<IncompleteIndex>(std::make_unique<ScanIndex>(table));
+}
+
+template <BitmapEncoding kEncoding>
+IndexResult BuildBitmap(const Table& table) {
+  return Wrap(
+      BitmapIndex::Build(table, {kEncoding, MissingStrategy::kExtraBitmap}));
+}
+
+template <VaQuantization kQuantization>
+IndexResult BuildVa(const Table& table) {
+  return Wrap(VaFile::Build(table, {kQuantization, 0}));
+}
+
+template <SlotScheme kScheme>
+IndexResult BuildComposite(const Table& table) {
+  return Wrap(CompositeBitmapIndex::Build(table, {kScheme}));
+}
+
+/// Everything incdb knows about a served kind, in one row. `name` is
+/// IndexKindToString; IndexKindFromString accepts it or `alias`, ignoring
+/// case. `segmentable` kinds never read the table after Build.
+struct KindRow {
+  IndexKind kind;
+  std::string_view name;
+  std::string_view alias;
+  bool segmentable;
+  IndexResult (*build)(const Table&);
+};
+
+constexpr KindRow kKinds[] = {
+    {IndexKind::kSequentialScan, "SeqScan", "scan", false, BuildScan},
+    {IndexKind::kBitmapEquality, "BEE-WAH", "bee", true,
+     BuildBitmap<BitmapEncoding::kEquality>},
+    {IndexKind::kBitmapRange, "BRE-WAH", "bre", true,
+     BuildBitmap<BitmapEncoding::kRange>},
+    {IndexKind::kBitmapInterval, "BIE-WAH", "bie", true,
+     BuildBitmap<BitmapEncoding::kInterval>},
+    {IndexKind::kBitmapBitSliced, "BSL-WAH", "bsl", true,
+     BuildBitmap<BitmapEncoding::kBitSliced>},
+    {IndexKind::kVaFile, "VA-File", "va", false,
+     BuildVa<VaQuantization::kUniform>},
+    {IndexKind::kVaPlusFile, "VA+-File", "va+", false,
+     BuildVa<VaQuantization::kEquiDepth>},
+    {IndexKind::kBitmapMultiComponent, "MC-WAH", "mc", true,
+     BuildComposite<SlotScheme::kMultiComponent>},
+    {IndexKind::kBitmapHierarchical, "HIER-WAH", "hier", true,
+     BuildComposite<SlotScheme::kHierarchical>},
+};
+
+/// Catalog tags of retired kinds, so a store holding one fails by name.
+constexpr struct {
+  uint8_t tag;
+  std::string_view name;
+} kRetiredTags[] = {{7, "MOSAIC"}, {8, "bitstring-augmented"}};
+
+const KindRow* FindRow(IndexKind kind) {
+  for (const KindRow& row : kKinds) {
+    if (row.kind == kind) return &row;
+  }
+  return nullptr;
+}
+
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](unsigned char x, unsigned char y) {
+                      return std::tolower(x) == std::tolower(y);
+                    });
+}
+
 }  // namespace
 
 std::string_view IndexKindToString(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kSequentialScan:
-      return "SeqScan";
-    case IndexKind::kBitmapEquality:
-      return "BEE-WAH";
-    case IndexKind::kBitmapRange:
-      return "BRE-WAH";
-    case IndexKind::kBitmapInterval:
-      return "BIE-WAH";
-    case IndexKind::kBitmapBitSliced:
-      return "BSL-WAH";
-    case IndexKind::kVaFile:
-      return "VA-File";
-    case IndexKind::kVaPlusFile:
-      return "VA+-File";
-    case IndexKind::kMosaic:
-      return "MOSAIC";
-    case IndexKind::kBitstringAugmented:
-      return "Bitstring-Augmented";
-    case IndexKind::kBitmapMultiComponent:
-      return "MC-WAH";
-    case IndexKind::kBitmapHierarchical:
-      return "HIER-WAH";
-  }
-  return "unknown";
+  const KindRow* row = FindRow(kind);
+  return row != nullptr ? row->name : "unknown";
 }
 
 Result<IndexKind> IndexKindFromString(std::string_view name) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  static constexpr struct {
-    std::string_view alias;
-    IndexKind kind;
-  } kAliases[] = {
-      {"seqscan", IndexKind::kSequentialScan},
-      {"scan", IndexKind::kSequentialScan},
-      {"bee-wah", IndexKind::kBitmapEquality},
-      {"bee", IndexKind::kBitmapEquality},
-      {"bre-wah", IndexKind::kBitmapRange},
-      {"bre", IndexKind::kBitmapRange},
-      {"bie-wah", IndexKind::kBitmapInterval},
-      {"bie", IndexKind::kBitmapInterval},
-      {"bsl-wah", IndexKind::kBitmapBitSliced},
-      {"bsl", IndexKind::kBitmapBitSliced},
-      {"va-file", IndexKind::kVaFile},
-      {"va", IndexKind::kVaFile},
-      {"va+-file", IndexKind::kVaPlusFile},
-      {"va+", IndexKind::kVaPlusFile},
-      {"mosaic", IndexKind::kMosaic},
-      {"bitstring-augmented", IndexKind::kBitstringAugmented},
-      {"bitstring", IndexKind::kBitstringAugmented},
-      {"mc-wah", IndexKind::kBitmapMultiComponent},
-      {"mc", IndexKind::kBitmapMultiComponent},
-      {"hier-wah", IndexKind::kBitmapHierarchical},
-      {"hier", IndexKind::kBitmapHierarchical},
-  };
-  for (const auto& entry : kAliases) {
-    if (lower == entry.alias) return entry.kind;
-  }
   std::string valid;
-  IndexKind last_named = IndexKind::kSequentialScan;
-  for (const auto& entry : kAliases) {
-    if (entry.kind == last_named && !valid.empty()) continue;
+  for (const KindRow& row : kKinds) {
+    if (EqualsIgnoreCase(name, row.name) || EqualsIgnoreCase(name, row.alias)) {
+      return row.kind;
+    }
     if (!valid.empty()) valid += ", ";
-    valid += entry.alias;
-    last_named = entry.kind;
+    valid += row.alias;
   }
   return Status::InvalidArgument("unknown index kind '" + std::string(name) +
                                  "'; valid kinds: " + valid);
 }
 
+Result<IndexKind> IndexKindFromTag(uint8_t tag) {
+  for (const KindRow& row : kKinds) {
+    if (static_cast<uint8_t>(row.kind) == tag) return row.kind;
+  }
+  for (const auto& retired : kRetiredTags) {
+    if (retired.tag == tag) {
+      return Status::NotSupported(
+          "index kind tag " + std::to_string(tag) + " is the retired " +
+          std::string(retired.name) + " kind, which incdb no longer serves");
+    }
+  }
+  return Status::InvalidArgument("unknown index kind tag " +
+                                 std::to_string(tag));
+}
+
+bool IsSegmentIndexKind(IndexKind kind) {
+  const KindRow* row = FindRow(kind);
+  return row != nullptr && row->segmentable;
+}
+
 Result<std::unique_ptr<IncompleteIndex>> CreateIndex(IndexKind kind,
                                                      const Table& table) {
-  switch (kind) {
-    case IndexKind::kSequentialScan:
-      return std::unique_ptr<IncompleteIndex>(
-          std::make_unique<ScanIndex>(table));
-    case IndexKind::kBitmapEquality:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kBitmapRange:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kRange, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kBitmapInterval:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kInterval, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kBitmapBitSliced:
-      return Wrap(BitmapIndex::Build(
-          table,
-          {BitmapEncoding::kBitSliced, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kVaFile:
-      return Wrap(VaFile::Build(table, {VaQuantization::kUniform, 0}));
-    case IndexKind::kVaPlusFile:
-      return Wrap(VaFile::Build(table, {VaQuantization::kEquiDepth, 0}));
-    case IndexKind::kMosaic:
-      return Wrap(MosaicIndex::Build(table));
-    case IndexKind::kBitstringAugmented:
-      return Wrap(BitstringAugmentedIndex::Build(table));
-    case IndexKind::kBitmapMultiComponent:
-      return Wrap(CompositeBitmapIndex::Build(
-          table, {SlotScheme::kMultiComponent}));
-    case IndexKind::kBitmapHierarchical:
-      return Wrap(CompositeBitmapIndex::Build(
-          table, {SlotScheme::kHierarchical}));
-  }
-  return Status::InvalidArgument("unknown index kind");
+  const KindRow* row = FindRow(kind);
+  if (row == nullptr) return Status::InvalidArgument("unknown index kind");
+  return row->build(table);
 }
 
 }  // namespace incdb

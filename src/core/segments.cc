@@ -9,23 +9,6 @@
 
 namespace incdb {
 
-bool IsSegmentIndexKind(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kBitmapEquality:
-    case IndexKind::kBitmapRange:
-    case IndexKind::kBitmapInterval:
-    case IndexKind::kBitmapBitSliced:
-    case IndexKind::kBitmapMultiComponent:
-    case IndexKind::kBitmapHierarchical:
-      return true;
-    default:
-      // Scan has no payload; VA/Mosaic/Bitstring consult the table at query
-      // time, so they cannot outlive the transient local copy a segment is
-      // built from.
-      return false;
-  }
-}
-
 namespace internal {
 
 std::vector<ZoneEntry> ComputeZones(const Table& table, uint64_t begin,

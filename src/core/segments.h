@@ -31,9 +31,6 @@ struct SegmentOptions {
   IndexKind index_kind = IndexKind::kBitmapEquality;
 };
 
-/// True for index kinds a segment may carry (self-contained after Build).
-bool IsSegmentIndexKind(IndexKind kind);
-
 namespace internal {
 
 /// Per-attribute pruning metadata for one segment. min/max are only

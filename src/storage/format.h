@@ -68,6 +68,12 @@ inline constexpr const char kSegmentMagic[8] = {'I', 'N', 'C', 'D',
 /// v3: adds composite bitmap index blobs (multi-component / hierarchical —
 /// per-attribute axis groups instead of one flat bitmap list); v1/v2
 /// stores open unchanged.
+///
+/// Retiring the MOSAIC (tag 7) and bitstring-augmented (tag 8) index kinds
+/// did not bump the version: no served kind changed its tag or layout, so
+/// every store holding only served kinds still opens unchanged, and a
+/// catalog naming tag 7 or 8 fails to open with an error that names the
+/// retired kind (IndexKindFromTag).
 inline constexpr uint32_t kFormatVersion = 3;
 
 /// First bytes of a seg-<id>.dat segment file (raw 8-byte prefix, keeping

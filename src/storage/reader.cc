@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
 #include "bitmap/composite_index.h"
 #include "common/io.h"
@@ -567,8 +566,7 @@ Result<OpenedStore> OpenStore(const std::string& dir,
       INCDB_ASSIGN_OR_RETURN(seg_options.segment_rows, catalog.ReadU64());
       INCDB_ASSIGN_OR_RETURN(uint8_t options_kind, catalog.ReadU8());
       if (seg_options.segment_rows == 0 ||
-          options_kind > static_cast<uint8_t>(IndexKind::kBitmapHierarchical)
-          || !IsSegmentIndexKind(static_cast<IndexKind>(options_kind))) {
+          !IsSegmentIndexKind(static_cast<IndexKind>(options_kind))) {
         return Status::IOError("'" + catalog_path +
                                "': corrupted segment options");
       }
@@ -592,9 +590,7 @@ Result<OpenedStore> OpenStore(const std::string& dir,
         INCDB_ASSIGN_OR_RETURN(entry.begin_row, catalog.ReadU64());
         INCDB_ASSIGN_OR_RETURN(entry.num_rows, catalog.ReadU64());
         INCDB_ASSIGN_OR_RETURN(uint8_t kind_byte, catalog.ReadU8());
-        if (kind_byte >
-                static_cast<uint8_t>(IndexKind::kBitmapHierarchical) ||
-            !IsSegmentIndexKind(static_cast<IndexKind>(kind_byte))) {
+        if (!IsSegmentIndexKind(static_cast<IndexKind>(kind_byte))) {
           return Status::IOError("'" + catalog_path +
                                  "': corrupted segment index kind");
         }
@@ -687,12 +683,12 @@ Result<OpenedStore> OpenStore(const std::string& dir,
   }
   for (uint64_t i = 0; i < num_indexes; ++i) {
     INCDB_ASSIGN_OR_RETURN(uint8_t kind_byte, catalog.ReadU8());
-    if (kind_byte > static_cast<uint8_t>(IndexKind::kBitmapHierarchical) ||
-        kind_byte == static_cast<uint8_t>(IndexKind::kSequentialScan)) {
-      return Status::IOError("'" + catalog_path +
-                             "': corrupted index kind tag");
+    const Result<IndexKind> tagged = IndexKindFromTag(kind_byte);
+    if (!tagged.ok()) {
+      return Status::IOError("'" + catalog_path + "': " +
+                             tagged.status().message());
     }
-    const IndexKind kind = static_cast<IndexKind>(kind_byte);
+    const IndexKind kind = tagged.value();
     internal::SnapshotIndexEntry entry;
     entry.kind = kind;
     INCDB_ASSIGN_OR_RETURN(entry.covered_rows, catalog.ReadU64());
@@ -725,19 +721,9 @@ Result<OpenedStore> OpenStore(const std::string& dir,
             entry.index, ReadVaFile(catalog, *mapping, kind, *store.table));
         break;
       }
-      case IndexKind::kMosaic: {
-        INCDB_ASSIGN_OR_RETURN(MosaicIndex mosaic,
-                               MosaicIndex::LoadFrom(catalog, num_attrs));
-        entry.index = std::make_shared<MosaicIndex>(std::move(mosaic));
-        break;
-      }
-      case IndexKind::kBitstringAugmented:
-        // Persisted as a marker only; the caller rebuilds it over the
-        // mapped table.
-        store.rebuild_kinds.push_back(kind);
-        continue;
       case IndexKind::kSequentialScan:
-        return Status::Internal("unreachable: scan kind rejected above");
+        return Status::IOError("'" + catalog_path +
+                               "': corrupted index kind tag");
     }
     store.indexes.push_back(std::move(entry));
   }

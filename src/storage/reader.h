@@ -58,10 +58,6 @@ struct OpenedStore {
   std::vector<uint64_t> missing_counts;
   /// Deserialized indexes (mmap-borrowed where the format allows).
   std::vector<internal::SnapshotIndexEntry> indexes;
-  /// Index kinds persisted as rebuild-on-open markers (no stable wire
-  /// form, e.g. the bitstring-augmented R-tree). The caller rebuilds them
-  /// over `table` and appends to `indexes`.
-  std::vector<IndexKind> rebuild_kinds;
 };
 
 /// Opens a store directory written by WriteSnapshot. With checksum

@@ -15,7 +15,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
 #include "bitmap/composite_index.h"
 #include "common/io.h"
@@ -513,16 +512,6 @@ Status WriteSnapshot(const internal::SnapshotState& state,
       case IndexKind::kVaFile:
       case IndexKind::kVaPlusFile:
         WriteVaFile(static_cast<const VaFile&>(*entry.index), seg, catalog);
-        break;
-      case IndexKind::kMosaic: {
-        const Status status =
-            static_cast<const MosaicIndex&>(*entry.index).SaveTo(catalog);
-        if (!status.ok()) return status;
-        break;
-      }
-      case IndexKind::kBitstringAugmented:
-        // No stable wire form (R-tree node graph); rebuilt on open. The
-        // kind + covered_rows record above is the whole payload.
         break;
       case IndexKind::kSequentialScan:
         return Status::Internal(

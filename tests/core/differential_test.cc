@@ -82,7 +82,7 @@ TEST_P(DifferentialTest, EverythingAgreesWithOracle) {
   for (IndexKind kind :
        {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
         IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
-        IndexKind::kVaFile, IndexKind::kMosaic}) {
+        IndexKind::kVaFile}) {
     auto index = CreateIndex(kind, table);
     ASSERT_TRUE(index.ok()) << IndexKindToString(kind);
     indexes.push_back(std::move(index).value());

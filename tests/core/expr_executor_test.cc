@@ -60,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllKinds, ExprExecutorTest,
     ::testing::Values(IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
                       IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-                      IndexKind::kVaFile, IndexKind::kMosaic));
+                      IndexKind::kVaFile));
 
 TEST(ExprExecutorBasicsTest, PossibleIsSupersetOfCertain) {
   const Table table = GenerateTable(UniformSpec(500, 6, 0.4, 4, 603)).value();

@@ -8,11 +8,11 @@ namespace incdb {
 namespace {
 
 const IndexKind kAllKinds[] = {
-    IndexKind::kSequentialScan,     IndexKind::kBitmapEquality,
-    IndexKind::kBitmapRange,        IndexKind::kBitmapInterval,
-    IndexKind::kBitmapBitSliced,    IndexKind::kVaFile,
-    IndexKind::kVaPlusFile,         IndexKind::kMosaic,
-    IndexKind::kBitstringAugmented,
+    IndexKind::kSequentialScan,       IndexKind::kBitmapEquality,
+    IndexKind::kBitmapRange,          IndexKind::kBitmapInterval,
+    IndexKind::kBitmapBitSliced,      IndexKind::kVaFile,
+    IndexKind::kVaPlusFile,           IndexKind::kBitmapMultiComponent,
+    IndexKind::kBitmapHierarchical,
 };
 
 TEST(IndexFactoryTest, CreatesEveryKind) {
@@ -49,11 +49,8 @@ TEST(IndexFactoryTest, ScanHasZeroSizeOthersPositive) {
   EXPECT_EQ(
       CreateIndex(IndexKind::kSequentialScan, table).value()->SizeInBytes(),
       0u);
-  for (IndexKind kind : {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
-                         IndexKind::kBitmapInterval,
-                         IndexKind::kBitmapBitSliced,
-                         IndexKind::kVaFile, IndexKind::kMosaic,
-                         IndexKind::kBitstringAugmented}) {
+  for (IndexKind kind : kAllKinds) {
+    if (kind == IndexKind::kSequentialScan) continue;
     EXPECT_GT(CreateIndex(kind, table).value()->SizeInBytes(), 0u)
         << IndexKindToString(kind);
   }
@@ -63,12 +60,49 @@ TEST(IndexFactoryTest, PropagatesBuildFailures) {
   auto empty = Table::Create(Schema({{"x", 5}})).value();
   EXPECT_FALSE(CreateIndex(IndexKind::kBitmapEquality, empty).ok());
   EXPECT_FALSE(CreateIndex(IndexKind::kVaFile, empty).ok());
-  EXPECT_FALSE(CreateIndex(IndexKind::kMosaic, empty).ok());
+  EXPECT_FALSE(CreateIndex(IndexKind::kBitmapMultiComponent, empty).ok());
 }
 
 TEST(IndexKindTest, Names) {
   EXPECT_EQ(IndexKindToString(IndexKind::kBitmapEquality), "BEE-WAH");
   EXPECT_EQ(IndexKindToString(IndexKind::kVaPlusFile), "VA+-File");
+}
+
+TEST(IndexKindTest, NamesParseBackAndUnknownNamesListTheAliases) {
+  for (IndexKind kind : kAllKinds) {
+    EXPECT_EQ(IndexKindFromString(IndexKindToString(kind)).value(), kind);
+  }
+  EXPECT_EQ(IndexKindFromString("HIER").value(),
+            IndexKind::kBitmapHierarchical);
+  const auto retired = IndexKindFromString("mosaic");
+  ASSERT_FALSE(retired.ok());
+  EXPECT_NE(retired.status().message().find(
+                "scan, bee, bre, bie, bsl, va, va+, mc, hier"),
+            std::string::npos)
+      << retired.status().message();
+}
+
+// The values are the store's on-disk kind tags: renumbering one would make
+// existing stores open with the wrong index kind.
+TEST(IndexKindTest, CatalogTagsAreStable) {
+  const std::pair<IndexKind, int> kTags[] = {
+      {IndexKind::kSequentialScan, 0},   {IndexKind::kBitmapEquality, 1},
+      {IndexKind::kBitmapRange, 2},      {IndexKind::kBitmapInterval, 3},
+      {IndexKind::kBitmapBitSliced, 4},  {IndexKind::kVaFile, 5},
+      {IndexKind::kVaPlusFile, 6},       {IndexKind::kBitmapMultiComponent, 9},
+      {IndexKind::kBitmapHierarchical, 10},
+  };
+  for (const auto& [kind, tag] : kTags) {
+    EXPECT_EQ(static_cast<int>(kind), tag) << IndexKindToString(kind);
+    EXPECT_EQ(IndexKindFromTag(static_cast<uint8_t>(tag)).value(), kind);
+  }
+  EXPECT_NE(IndexKindFromTag(7).status().message().find("MOSAIC"),
+            std::string::npos);
+  EXPECT_NE(
+      IndexKindFromTag(8).status().message().find("bitstring-augmented"),
+      std::string::npos);
+  EXPECT_FALSE(IndexKindFromTag(11).ok());
+  EXPECT_FALSE(IndexKindFromTag(255).ok());
 }
 
 }  // namespace

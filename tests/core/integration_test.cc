@@ -64,8 +64,7 @@ std::vector<IntegrationCase> AllCases() {
        {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
         IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
         IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
-        IndexKind::kVaPlusFile, IndexKind::kMosaic,
-        IndexKind::kBitstringAugmented}) {
+        IndexKind::kVaPlusFile}) {
     for (MissingSemantics semantics :
          {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
       cases.push_back({kind, semantics});
@@ -141,8 +140,7 @@ TEST(WorkedExampleIntegrationTest, AllFamiliesAgree) {
     for (IndexKind kind :
          {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
           IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-        IndexKind::kVaFile, IndexKind::kVaPlusFile,
-          IndexKind::kMosaic, IndexKind::kBitstringAugmented}) {
+          IndexKind::kVaFile, IndexKind::kVaPlusFile}) {
       const auto index = CreateIndex(kind, table).value();
       const auto result = index->Execute(q);
       ASSERT_TRUE(result.ok()) << index->Name();

@@ -60,8 +60,7 @@ TEST(SegmentsTest, EnablingTwiceIsAnError) {
 TEST(SegmentsTest, NonSelfContainedIndexKindsAreRejected) {
   Database db = Database::FromTable(ClusteredTable(100, 4, 30)).value();
   for (IndexKind kind : {IndexKind::kSequentialScan, IndexKind::kVaFile,
-                         IndexKind::kVaPlusFile, IndexKind::kMosaic,
-                         IndexKind::kBitstringAugmented}) {
+                         IndexKind::kVaPlusFile}) {
     SegmentOptions options = SmallSegments(32);
     options.index_kind = kind;
     EXPECT_FALSE(db.EnableSegments(options).ok())

@@ -61,8 +61,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
                       IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
                       IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
-                      IndexKind::kVaPlusFile, IndexKind::kMosaic,
-                      IndexKind::kBitstringAugmented));
+                      IndexKind::kVaPlusFile));
 
 }  // namespace
 }  // namespace incdb

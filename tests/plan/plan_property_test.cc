@@ -25,7 +25,6 @@ constexpr IndexKind kBuildableKinds[] = {
     IndexKind::kBitmapInterval,       IndexKind::kBitmapBitSliced,
     IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
     IndexKind::kVaFile,               IndexKind::kVaPlusFile,
-    IndexKind::kMosaic,               IndexKind::kBitstringAugmented,
 };
 
 // Conjunctive fixtures over three attributes with cardinality 6: point,

@@ -78,6 +78,32 @@ class StorageCorruptionTest : public ::testing::Test {
     WriteFile(dir_ + "/" + file, pristine_[file]);
   }
 
+  /// Writes `manifest` with its trailing CRC recomputed, so only the
+  /// semantic checks of Open can object to an edit.
+  void WriteSignedManifest(std::string manifest) {
+    const size_t body = manifest.size() - 4;
+    PutCrc(storage::Crc32(manifest.data(), body), &manifest[body]);
+    WriteFile(dir_ + "/" + storage::kManifestFile, manifest);
+  }
+
+  /// Writes `catalog` and re-signs it: its section CRC in the manifest
+  /// (found by the pristine value), then the manifest itself.
+  void WriteSignedCatalog(const std::string& catalog) {
+    const std::string& pristine = pristine_[storage::CatalogFileName(1)];
+    std::string old_crc(4, '\0');
+    PutCrc(storage::Crc32(pristine.data(), pristine.size()), old_crc.data());
+    std::string manifest = pristine_[storage::kManifestFile];
+    const size_t at = manifest.find(old_crc);
+    ASSERT_NE(at, std::string::npos);
+    PutCrc(storage::Crc32(catalog.data(), catalog.size()), &manifest[at]);
+    WriteFile(dir_ + "/" + storage::CatalogFileName(1), catalog);
+    WriteSignedManifest(manifest);
+  }
+
+  static void PutCrc(uint32_t crc, char* out) {
+    for (int b = 0; b < 4; ++b) out[b] = static_cast<char>(crc >> (8 * b));
+  }
+
   std::string dir_;
   std::vector<std::string> files_;
   std::map<std::string, std::string> pristine_;
@@ -135,17 +161,37 @@ TEST_F(StorageCorruptionTest, FutureFormatVersionIsRefused) {
   ASSERT_LT(version_offset + 4, manifest.size());
   manifest[version_offset] =
       static_cast<char>(storage::kFormatVersion + 1);
-  const size_t body = manifest.size() - 4;
-  const uint32_t crc = storage::Crc32(manifest.data(), body);
-  for (int b = 0; b < 4; ++b) {
-    manifest[body + static_cast<size_t>(b)] =
-        static_cast<char>((crc >> (8 * b)) & 0xFF);
-  }
-  WriteFile(dir_ + "/" + storage::kManifestFile, manifest);
+  WriteSignedManifest(manifest);
   const auto result = Database::Open(dir_);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().ToString().find("version"), std::string::npos)
       << result.status().ToString();
+}
+
+TEST_F(StorageCorruptionTest, RetiredIndexKindTagsAreRefusedByName) {
+  // The VA-file registry record is its kind tag (5) followed by its
+  // covered row count (120, u64 little-endian). Rewrite the tag to each
+  // retired kind's and re-sign, so only the tag check can object.
+  std::string record = "\x05\x78";
+  record.append(7, '\0');
+  const std::string& pristine = pristine_[storage::CatalogFileName(1)];
+  const size_t at = pristine.find(record);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(pristine.find(record, at + 1), std::string::npos);
+  for (const auto& [tag, name] :
+       {std::pair<char, std::string>{7, "MOSAIC"},
+        std::pair<char, std::string>{8, "bitstring-augmented"}}) {
+    std::string catalog = pristine;
+    catalog[at] = tag;
+    WriteSignedCatalog(catalog);
+    const auto result = Database::Open(dir_);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_NE(result.status().ToString().find(name), std::string::npos)
+        << result.status().ToString();
+  }
+  // The untouched record still opens once re-signed the same way.
+  WriteSignedCatalog(pristine);
+  EXPECT_TRUE(Database::Open(dir_).ok());
 }
 
 TEST_F(StorageCorruptionTest, WrongMagicIsRefused) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -18,25 +17,11 @@
 #include "core/database.h"
 #include "query/workload.h"
 #include "storage/format.h"
+#include "store_dir.h"
 #include "table/generator.h"
 
 namespace incdb {
 namespace {
-
-/// A unique store directory under the test's working directory. ctest runs
-/// every test case as its own process in a shared working directory, so
-/// the pid is part of the name — a static counter alone would collide.
-std::string StoreDir(const std::string& tag) {
-  static int counter = 0;
-  std::string dir = "storage_rt_";
-  dir += tag;
-  dir += '_';
-  dir += std::to_string(getpid());
-  dir += '_';
-  dir += std::to_string(counter++);
-  dir += ".incdb";
-  return dir;
-}
 
 DatasetSpec SmallSpec(uint64_t seed) {
   DatasetSpec spec;
@@ -95,12 +80,15 @@ void ExpectSameAnswers(const Database& original, const Database& reopened) {
   }
 }
 
-class StorageRoundTripTest : public ::testing::TestWithParam<IndexKind> {};
+class StorageRoundTripTest
+    : public StoreDirTest<::testing::TestWithParam<IndexKind>> {};
+
+using StorageRoundTrip = StoreDirTest<>;
 
 TEST_P(StorageRoundTripTest, EveryQueryShapeSurvivesSaveOpen) {
   Database db = MakeDatabase(/*seed=*/7);
   ASSERT_TRUE(db.BuildIndex(GetParam()).ok());
-  const std::string dir = StoreDir("kind");
+  const std::string dir = StoreDir("rt_kind");
   ASSERT_TRUE(db.Save(dir).ok());
 
   for (bool verify : {true, false}) {
@@ -119,7 +107,7 @@ TEST_P(StorageRoundTripTest, IndexSizeInBytesSurvivesSaveOpen) {
   ASSERT_TRUE(db.BuildIndex(GetParam()).ok());
   const uint64_t built_bytes = db.IndexSizeInBytes();
   ASSERT_GT(built_bytes, 0u);
-  const std::string dir = StoreDir("size");
+  const std::string dir = StoreDir("rt_size");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -131,7 +119,7 @@ TEST_P(StorageRoundTripTest, GeneratedWorkloadMatchesScanAfterOpen) {
   // agree with a sequential scan of the same rows, under both semantics.
   Database db = MakeDatabase(/*seed=*/17);
   ASSERT_TRUE(db.BuildIndex(GetParam()).ok());
-  const std::string dir = StoreDir("workload");
+  const std::string dir = StoreDir("rt_workload");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -169,19 +157,17 @@ INSTANTIATE_TEST_SUITE_P(
                       IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
                       IndexKind::kBitmapMultiComponent,
                       IndexKind::kBitmapHierarchical,
-                      IndexKind::kVaFile, IndexKind::kVaPlusFile,
-                      IndexKind::kMosaic, IndexKind::kBitstringAugmented));
+                      IndexKind::kVaFile, IndexKind::kVaPlusFile));
 
-TEST(StorageRoundTrip, AllIndexesAtOnce) {
+TEST_F(StorageRoundTrip, AllIndexesAtOnce) {
   Database db = MakeDatabase(/*seed=*/11);
   for (IndexKind kind :
        {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
         IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
-        IndexKind::kVaFile, IndexKind::kMosaic,
-        IndexKind::kBitstringAugmented}) {
+        IndexKind::kVaFile}) {
     ASSERT_TRUE(db.BuildIndex(kind).ok());
   }
-  const std::string dir = StoreDir("all");
+  const std::string dir = StoreDir("rt_all");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -189,9 +175,9 @@ TEST(StorageRoundTrip, AllIndexesAtOnce) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, NoIndexes) {
+TEST_F(StorageRoundTrip, NoIndexes) {
   Database db = MakeDatabase(/*seed=*/13);
-  const std::string dir = StoreDir("plain");
+  const std::string dir = StoreDir("rt_plain");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -199,13 +185,13 @@ TEST(StorageRoundTrip, NoIndexes) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, DeletionsSurvive) {
+TEST_F(StorageRoundTrip, DeletionsSurvive) {
   Database db = MakeDatabase(/*seed=*/17);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
   for (uint32_t i = 0; i < 40; ++i) {
     ASSERT_TRUE(db.Delete(i * 7).ok());
   }
-  const std::string dir = StoreDir("deleted");
+  const std::string dir = StoreDir("rt_deleted");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -214,11 +200,11 @@ TEST(StorageRoundTrip, DeletionsSurvive) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, OpenedDatabaseAcceptsWrites) {
+TEST_F(StorageRoundTrip, OpenedDatabaseAcceptsWrites) {
   Database db = MakeDatabase(/*seed=*/23);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapRange).ok());
   ASSERT_TRUE(db.BuildIndex(IndexKind::kVaFile).ok());
-  const std::string dir = StoreDir("writes");
+  const std::string dir = StoreDir("rt_writes");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -247,10 +233,10 @@ TEST(StorageRoundTrip, OpenedDatabaseAcceptsWrites) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, SecondGenerationSaveOpen) {
+TEST_F(StorageRoundTrip, SecondGenerationSaveOpen) {
   Database db = MakeDatabase(/*seed=*/29);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapInterval).ok());
-  const std::string dir1 = StoreDir("gen1");
+  const std::string dir1 = StoreDir("rt_gen1");
   ASSERT_TRUE(db.Save(dir1).ok());
   auto gen1 = Database::Open(dir1);
   ASSERT_TRUE(gen1.ok()) << gen1.status().ToString();
@@ -259,7 +245,7 @@ TEST(StorageRoundTrip, SecondGenerationSaveOpen) {
   // (mmap-backed) columns and bitvectors must serialize correctly too.
   ASSERT_TRUE(gen1->Insert({1, 2, 3, 4}).ok());
   ASSERT_TRUE(gen1->Delete(3).ok());
-  const std::string dir2 = StoreDir("gen2");
+  const std::string dir2 = StoreDir("rt_gen2");
   ASSERT_TRUE(gen1->Save(dir2).ok());
   auto gen2 = Database::Open(dir2);
   ASSERT_TRUE(gen2.ok()) << gen2.status().ToString();
@@ -272,7 +258,7 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &info) == 0;
 }
 
-TEST(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
+TEST_F(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
   // The scenario the generation scheme exists for: Save into the very
   // directory the database was opened from. The writer must never
   // truncate the payload files the snapshot is serving through its mmap
@@ -281,7 +267,7 @@ TEST(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
   Database db = MakeDatabase(/*seed=*/37);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
   ASSERT_TRUE(db.BuildIndex(IndexKind::kVaFile).ok());
-  const std::string dir = StoreDir("inplace");
+  const std::string dir = StoreDir("rt_inplace");
   ASSERT_TRUE(db.Save(dir).ok());
 
   auto opened = Database::Open(dir);
@@ -303,9 +289,9 @@ TEST(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
   ExpectSameAnswers(opened.value(), reopened.value());
 }
 
-TEST(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
+TEST_F(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
   Database db = MakeDatabase(/*seed=*/41);
-  const std::string dir = StoreDir("gc");
+  const std::string dir = StoreDir("rt_gc");
   ASSERT_TRUE(db.Save(dir).ok());
   ASSERT_TRUE(FileExists(dir + "/" + storage::SegmentFileName(1)));
 
@@ -333,9 +319,9 @@ TEST(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, OpenRejectsMissingAndGarbageStores) {
-  EXPECT_FALSE(Database::Open(StoreDir("absent")).ok());
-  const std::string dir = StoreDir("garbage");
+TEST_F(StorageRoundTrip, OpenRejectsMissingAndGarbageStores) {
+  EXPECT_FALSE(Database::Open(StoreDir("rt_absent")).ok());
+  const std::string dir = StoreDir("rt_garbage");
   ASSERT_TRUE(std::filesystem::create_directory(dir));
   EXPECT_FALSE(Database::Open(dir).ok());
   std::ofstream(dir + "/" + storage::kManifestFile, std::ios::binary)
@@ -351,7 +337,7 @@ uint64_t DirectoryBytes(const std::string& dir) {
   return bytes;
 }
 
-TEST(StorageRoundTrip, IndexBytesOnDiskTrackSizeInBytes) {
+TEST_F(StorageRoundTrip, IndexBytesOnDiskTrackSizeInBytes) {
   // The paper's index-size metric is "the size of the requisite index files
   // on disk" (DESIGN.md section 8). The store adds a BEE index as its WAH
   // payload plus per-bitmap headers, so the bytes it adds to a store
@@ -365,8 +351,8 @@ TEST(StorageRoundTrip, IndexBytesOnDiskTrackSizeInBytes) {
   const uint64_t index_bytes = indexed.IndexSizeInBytes();
   ASSERT_GT(index_bytes, 0u);
 
-  const std::string plain_dir = StoreDir("size_plain");
-  const std::string indexed_dir = StoreDir("size_bee");
+  const std::string plain_dir = StoreDir("rt_size_plain");
+  const std::string indexed_dir = StoreDir("rt_size_bee");
   ASSERT_TRUE(plain.Save(plain_dir).ok());
   ASSERT_TRUE(indexed.Save(indexed_dir).ok());
   const uint64_t plain_bytes = DirectoryBytes(plain_dir);
@@ -377,9 +363,9 @@ TEST(StorageRoundTrip, IndexBytesOnDiskTrackSizeInBytes) {
   EXPECT_LT(on_disk, index_bytes + index_bytes / 2 + 4096);
 }
 
-TEST(StorageRoundTrip, MissingRatesComeFromCatalogNotRescan) {
+TEST_F(StorageRoundTrip, MissingRatesComeFromCatalogNotRescan) {
   Database db = MakeDatabase(/*seed=*/31);
-  const std::string dir = StoreDir("rates");
+  const std::string dir = StoreDir("rt_rates");
   ASSERT_TRUE(db.Save(dir).ok());
   auto reopened = Database::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();

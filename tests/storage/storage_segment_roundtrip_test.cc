@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +19,7 @@
 #include "core/database.h"
 #include "core/segments.h"
 #include "storage/format.h"
+#include "store_dir.h"
 #include "table/generator.h"
 
 namespace incdb {
@@ -74,9 +74,7 @@ Database MakeSegmentedDb(uint64_t num_rows,
   return db;
 }
 
-std::string TempDir(const std::string& tag) {
-  return "storage_seg_" + tag + "_" + std::to_string(getpid()) + ".incdb";
-}
+using StorageSegmentRoundtripTest = StoreDirTest<>;
 
 void ExpectSameAnswers(const Database& a, const Database& b) {
   for (MissingSemantics semantics :
@@ -94,9 +92,9 @@ void ExpectSameAnswers(const Database& a, const Database& b) {
   }
 }
 
-TEST(StorageSegmentRoundtripTest, SegmentedStoreRoundTrips) {
+TEST_F(StorageSegmentRoundtripTest, SegmentedStoreRoundTrips) {
   Database db = MakeSegmentedDb(5 * kSegmentRows + 11);  // 5 segments + tail
-  const std::string dir = TempDir("basic");
+  const std::string dir = StoreDir("seg_basic");
   ASSERT_TRUE(db.Save(dir).ok());
 
   // One file per sealed segment landed next to the catalog/data pair.
@@ -125,14 +123,14 @@ TEST(StorageSegmentRoundtripTest, SegmentedStoreRoundTrips) {
   EXPECT_EQ(reopened->num_segments(), 6u);
 }
 
-TEST(StorageSegmentRoundtripTest, UnsegmentedV2StoreStillRoundTrips) {
+TEST_F(StorageSegmentRoundtripTest, UnsegmentedV2StoreStillRoundTrips) {
   // A database without segments writes v2 with an empty segment table;
   // the reader must treat it exactly like v1.
   Database db = Database::FromTable(
                     GenerateTable(UniformSpec(200, 6, 0.2, 3, 811)).value())
                     .value();
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
-  const std::string dir = TempDir("plain");
+  const std::string dir = StoreDir("seg_plain");
   ASSERT_TRUE(db.Save(dir).ok());
   EXPECT_TRUE(SegmentFilesIn(dir).empty());
   auto reopened = Database::Open(dir);
@@ -141,9 +139,9 @@ TEST(StorageSegmentRoundtripTest, UnsegmentedV2StoreStillRoundTrips) {
   EXPECT_EQ(reopened->num_rows(), 200u);
 }
 
-TEST(StorageSegmentRoundtripTest, DirtySaveRewritesOnlyNewSegments) {
+TEST_F(StorageSegmentRoundtripTest, DirtySaveRewritesOnlyNewSegments) {
   Database db = MakeSegmentedDb(4 * kSegmentRows);
-  const std::string dir = TempDir("dirty");
+  const std::string dir = StoreDir("seg_dirty");
   ASSERT_TRUE(db.Save(dir).ok());
 
   // Capture every segment file's bytes and mtime after the first save.
@@ -184,9 +182,9 @@ TEST(StorageSegmentRoundtripTest, DirtySaveRewritesOnlyNewSegments) {
   ExpectSameAnswers(db, *reopened);
 }
 
-TEST(StorageSegmentRoundtripTest, CompactionDropsStaleSegmentFilesOnSave) {
+TEST_F(StorageSegmentRoundtripTest, CompactionDropsStaleSegmentFilesOnSave) {
   Database db = MakeSegmentedDb(4 * kSegmentRows);
-  const std::string dir = TempDir("compact");
+  const std::string dir = StoreDir("seg_compact");
   ASSERT_TRUE(db.Save(dir).ok());
   const size_t files_before = SegmentFilesIn(dir).size();
   ASSERT_EQ(files_before, 4u);
@@ -215,9 +213,9 @@ TEST(StorageSegmentRoundtripTest, CompactionDropsStaleSegmentFilesOnSave) {
   EXPECT_EQ(reopened->num_deleted_rows(), 0u);
 }
 
-TEST(StorageSegmentRoundtripTest, EverySegmentFileByteFlipIsDetected) {
+TEST_F(StorageSegmentRoundtripTest, EverySegmentFileByteFlipIsDetected) {
   Database db = MakeSegmentedDb(3 * kSegmentRows);
-  const std::string dir = TempDir("flip");
+  const std::string dir = StoreDir("seg_flip");
   ASSERT_TRUE(db.Save(dir).ok());
   const std::vector<std::string> files = SegmentFilesIn(dir);
   ASSERT_EQ(files.size(), 3u);
@@ -247,7 +245,7 @@ TEST(StorageSegmentRoundtripTest, EverySegmentFileByteFlipIsDetected) {
   EXPECT_TRUE(Database::Open(dir).ok());
 }
 
-TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
+TEST_F(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
   // Segments carrying the v3 composite index kinds: the per-segment files
   // must serialize, reopen through the mmap borrowed-view path, keep zone
   // pruning, and answer every shape identically — including byte-flip
@@ -255,8 +253,8 @@ TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
   for (IndexKind kind : {IndexKind::kBitmapMultiComponent,
                          IndexKind::kBitmapHierarchical}) {
     Database db = MakeSegmentedDb(3 * kSegmentRows + 7, kind);
-    const std::string dir =
-        TempDir(kind == IndexKind::kBitmapMultiComponent ? "mc" : "hier");
+    const bool mc = kind == IndexKind::kBitmapMultiComponent;
+    const std::string dir = StoreDir(mc ? "seg_mc" : "seg_hier");
     ASSERT_TRUE(db.Save(dir).ok());
     ASSERT_EQ(SegmentFilesIn(dir).size(), 3u);
 
@@ -271,8 +269,7 @@ TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
                                     static_cast<Value>(1 + i % 5)}).ok());
     }
     EXPECT_EQ(reopened->num_segments(), 4u);
-    const std::string dir2 = TempDir(
-        kind == IndexKind::kBitmapMultiComponent ? "mc2" : "hier2");
+    const std::string dir2 = StoreDir(mc ? "seg_mc2" : "seg_hier2");
     ASSERT_TRUE(reopened->Save(dir2).ok());
     auto again = Database::Open(dir2);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
@@ -297,12 +294,12 @@ TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
   }
 }
 
-TEST(StorageSegmentRoundtripTest, SaveAfterOpenReusesOpenedSegmentFiles) {
+TEST_F(StorageSegmentRoundtripTest, SaveAfterOpenReusesOpenedSegmentFiles) {
   // Open seeds the persist cache from the catalog, so a save back into the
   // same directory rewrites no segment file even without a prior Save in
   // this process.
   Database original = MakeSegmentedDb(3 * kSegmentRows + 5);
-  const std::string dir = TempDir("reopen");
+  const std::string dir = StoreDir("seg_reopen");
   ASSERT_TRUE(original.Save(dir).ok());
 
   auto db = Database::Open(dir);

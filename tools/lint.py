@@ -19,7 +19,9 @@ Checks, over the committed sources (no build needed):
                     public header must never reach into a module that sits
                     above it (e.g. core/*.h including plan/*.h — the plan
                     layer sits between core_base and core, so only core
-                    *implementation* files may).
+                    *implementation* files may). The src/repro/ module is
+                    outside the served DAG: no served module may include
+                    it, nor name incdb_repro in its CMakeLists.txt.
   header-guard      src headers open with `#ifndef INCDB_<PATH>_H_`.
   using-namespace   `using namespace std` (or any namespace) at file scope.
   no-tsa-audit      INCDB_NO_THREAD_SAFETY_ANALYSIS is an escape hatch;
@@ -77,8 +79,6 @@ ALLOWED_HEADER_DEPS = {
     "common": set(),
     "simd": {"common"},
     "bitvector": {"common", "simd"},
-    "btree": {"common"},
-    "rtree": {"common"},
     "table": {"common"},
     "compression": {"common", "simd", "bitvector"},
     "query": {"common", "simd", "bitvector", "table"},
@@ -86,27 +86,29 @@ ALLOWED_HEADER_DEPS = {
     "bitmap": {"common", "simd", "bitvector", "compression", "table",
                "query"},
     "vafile": {"common", "simd", "bitvector", "table", "query"},
-    "baselines": {"common", "simd", "bitvector", "btree", "rtree", "table",
-                  "query"},
     "storage": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "bitmap", "vafile", "baselines",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "bitmap", "vafile",
     },
     "core": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "stats", "bitmap", "vafile", "baselines", "storage",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "stats", "bitmap", "vafile", "storage",
     },
     "plan": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "stats", "bitmap", "vafile", "baselines", "storage",
-        "core",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "stats", "bitmap", "vafile", "storage", "core",
     },
     "server": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "stats", "bitmap", "vafile", "baselines", "storage",
-        "core", "plan",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "stats", "bitmap", "vafile", "storage", "core", "plan",
     },
+    # The baselines the paper argues against (MOSAIC, bitstring-augmented,
+    # their B+-/R-trees, BBC), kept for the reproduction benches. It sits
+    # beside the served modules above, never below them: none may include
+    # it, and none may link incdb_repro (see check_repro_links).
+    "repro": {"common", "simd", "bitvector", "table", "query"},
 }
+REPRO_MODULE = "repro"
 
 # Dependency-inversion seam: interface headers that live in `core` but are
 # *implemented* by the modules below it (IncompleteIndex by every index
@@ -355,6 +357,21 @@ class Linter:
                         f"'{target}': '{target_module}' is not below "
                         f"'{module}' in the module DAG", raw)
 
+    def check_repro_links(self):
+        """No served library may link incdb_repro (the include rule alone
+        would let a served target carry its objects unused)."""
+        lib = os.path.join(REPO, LIB_DIR)
+        for module in sorted(ALLOWED_HEADER_DEPS):
+            path = os.path.join(lib, module, "CMakeLists.txt")
+            if module == REPRO_MODULE or not os.path.isfile(path):
+                continue
+            with open(path, encoding="utf-8") as f:
+                for lineno, raw in enumerate(f, start=1):
+                    if re.search(r"\bincdb_repro\b", raw.split("#")[0]):
+                        self.report(path, lineno, "layering",
+                                    f"served module '{module}' must not "
+                                    "link incdb_repro", raw)
+
     def check_header_guard(self, path, code_lines, rel):
         stem = rel[len(LIB_DIR) + 1:]
         expected = "INCDB_" + re.sub(r"[/.]", "_", stem.upper()) + "_"
@@ -385,6 +402,7 @@ def main() -> int:
                     continue
                 linter.check_file(os.path.join(dirpath, name))
                 scanned += 1
+    linter.check_repro_links()
     if linter.findings:
         print(f"tools/lint.py: {len(linter.findings)} finding(s) over "
               f"{scanned} files:", file=sys.stderr)
